@@ -6,13 +6,21 @@ the combined objective, take one Adam step per parameter group (curve
 scalars at their own rate; adapters and prompt encoder with weight
 decay), EMA the teacher toward the student, and save a fresh post-update
 forward as the prediction. State (parameters, optimizer moments, the
-confidence running max) carries across the stream; a non-finite loss
-skips the update for that image and logs the skip rather than aborting.
+confidence running max) carries across the stream; an image whose
+forward or loss is not finite, or whose confidence is too low to weight
+the consistency term, is skipped and logged rather than aborting.
 
-Baselines share the skeleton: entropy minimization with no teacher
-("tent"), plain teacher-student consistency ("mean-teacher"), frozen
-inference ("none"), and a calibration variant that freezes every model
-weight and adapts only the curve scalars ("sbct-only").
+Every strategy is one row of ``STRATEGY_TABLE``:
+
+    strategy      curves  LoRA+prompt  teacher                           objective
+    none          -       -            -                                 -
+    tent          -       yes          -                                 entropy
+    mean-teacher  -       yes          EMA weights, student's input      l_dpc
+    sam-tta       yes     yes          EMA weights, student's input      l_icm + lambda*l_dpc + l_ifc
+    sbct-only     yes     -            EMA curves, frozen student        l_icm + lambda*l_dpc
+
+``none`` is frozen inference; ``sbct-only`` freezes every model weight
+and is the curve-only calibration mode.
 """
 
 from __future__ import annotations
@@ -32,8 +40,26 @@ from .tensor import AdamState, Tensor, adam_step, no_grad
 
 log = logging.getLogger("ttaseg.adapt")
 
+
+@dataclass(frozen=True)
+class Strategy:
+    """One row of the table in the module docstring."""
+
+    curves: bool  # trains the 12 curve scalars
+    adapters: bool  # trains LoRA adapters and the prompt encoder
+    teacher: str | None  # "weights" (EMA copy of the student) or "curves" (EMA curves)
+    objective: tuple  # losses.total_tta_loss terms; empty for frozen inference
+
+
+STRATEGY_TABLE = {
+    "sam-tta": Strategy(True, True, "weights", losses.PAPER_OBJECTIVE),
+    "tent": Strategy(False, True, None, ("entropy",)),
+    "mean-teacher": Strategy(False, True, "weights", ("dpc",)),
+    "none": Strategy(False, False, None, ()),
+    "sbct-only": Strategy(True, False, "curves", ("icm", "lambda_dpc")),
+}
+# the strategies ``ttaseg adapt`` offers; sbct-only is reached through calibrate
 STRATEGIES = ("sam-tta", "tent", "mean-teacher", "none")
-_ALL_STRATEGIES = STRATEGIES + ("sbct-only",)
 
 
 @dataclass
@@ -44,14 +70,11 @@ class AdaptConfig:
     weight_decay: float = 1e-4
     ema_alpha: float = 0.95
     steps_per_image: int = 1
-    lambda_ifc: float = 1.0
     seed: int = 0
-    prompt_pad: int = 2
     reset_optimizer: bool = False
-    update_max_every_step: bool = False
 
     def __post_init__(self):
-        if self.strategy not in _ALL_STRATEGIES:
+        if self.strategy not in STRATEGY_TABLE:
             raise ValueError(f"AdaptConfig: unknown strategy {self.strategy!r}")
         if min(self.lr_sbct, self.lr_lora_prompt) <= 0 or self.steps_per_image < 1:
             raise ValueError("AdaptConfig: rates and steps_per_image must be positive")
@@ -74,48 +97,32 @@ def ema_update(teacher: SegModel, student: SegModel, alpha: float):
         t.data = alpha * t.data + (1.0 - alpha) * student.params[name].data
 
 
-class _StepResult:
-    def __init__(self, ok, logged=None, outputs=None, reason=None):
-        self.ok = ok
-        self.logged = logged
-        self.outputs = outputs
-        self.reason = reason
-
-
-_NAN_LOGGED = {"l_icm": float("nan"), "l_dpc": float("nan"), "l_ifc": float("nan"),
-               "lambda_dpc": float("nan")}
-
-
 class AdaptEngine:
     """Holds the adaptation state and processes one sample at a time."""
 
     def __init__(self, base_model: SegModel, config: AdaptConfig):
         self.cfg = config
-        strategy = config.strategy
-        self.uses_teacher = strategy in ("sam-tta", "mean-teacher", "sbct-only")
-        self.uses_sbct = strategy in ("sam-tta", "sbct-only")
-        self.uses_lora = strategy in ("sam-tta", "tent", "mean-teacher")
+        self.spec = spec = STRATEGY_TABLE[config.strategy]
 
         self.student = base_model.clone()
         self.student.set_trainable(lambda name: False)
-        if self.uses_lora:
+        if spec.adapters:
             self.student.attach_lora(seed=[config.seed, 31])
             self.student.set_trainable(lambda name: ".lora_" in name or name.startswith("prompt."))
-        self.sbct = sbct.init_identity() if self.uses_sbct else None
-        self.teacher = self.student.clone() if self.uses_teacher else None
-        if self.teacher is not None:
+        self.sbct = sbct.init_identity() if spec.curves else None
+        self.teacher = self.teacher_sbct = None
+        if spec.teacher == "weights":
+            self.teacher = self.student.clone()
             self.teacher.set_trainable(lambda name: False)
-        if strategy == "sbct-only":
+        elif spec.teacher == "curves":
             self.teacher_sbct = sbct.SbctParams(Tensor(self.sbct.u.data))
-        else:
-            self.teacher_sbct = None
 
         self.opt_sbct = AdamState()
         self.opt_model = AdamState()
         self.running_max = losses.RunningMax()
         self.index = 0
         self.skipped = []
-        self.records = []  # per-image LossBreakdown, combined-objective strategies only
+        self.records = []  # one LossBreakdown per completed update step
 
     def _student_input(self, image: np.ndarray) -> Tensor:
         if self.sbct is not None:
@@ -124,65 +131,45 @@ class AdaptEngine:
 
     def _teacher_forward(self, image: np.ndarray, x_student: Tensor, box):
         with no_grad():
-            if self.cfg.strategy == "sbct-only":
-                x_t = sbct.transform(image, self.teacher_sbct)
-            else:
-                # same remapped input as the student, under stop-gradient
-                x_t = x_student.detach()
-            return self.teacher.forward(x_t, box)
+            if self.teacher_sbct is not None:
+                # the teacher's weights would equal the frozen student's
+                return self.student.forward(sbct.transform(image, self.teacher_sbct), box)
+            # same remapped input as the student, under stop-gradient
+            return self.teacher.forward(x_student.detach(), box)
 
-    def _train_step(self, sample: synthdata.StreamSample, step: int) -> _StepResult:
-        cfg = self.cfg
+    def _train_step(self, sample: synthdata.StreamSample, step: int):
+        """One update; returns the student's outputs, the loss breakdown,
+        and the reason when the image is skipped instead."""
+        cfg, spec = self.cfg, self.spec
         x_s = self._student_input(sample.image)
         s_out = self.student.forward(x_s, sample.box)
         s_val = float(s_out.s_iou.data)
         if not math.isfinite(s_val):
-            return _StepResult(False, outputs=s_out, reason="non-finite forward")
+            return s_out, None, "non-finite forward"
+        weighted = "lambda_dpc" in spec.objective
+        if weighted and losses.confidence_stat(s_val) <= 0.0:
+            return s_out, None, f"confidence {s_val!r} at or below EPSILON, no consistency weight"
 
-        if cfg.strategy == "tent":
-            total = losses.entropy_loss(s_out.m_high)
-            logged = {"l_icm": 1.0 - s_val, "l_dpc": 0.0, "l_ifc": 0.0, "lambda_dpc": 0.0}
-        elif cfg.strategy == "mean-teacher":
-            t_out = self._teacher_forward(sample.image, x_s, sample.box)
-            total = losses.l_dpc(s_out, t_out)
-            logged = {"l_icm": 1.0 - s_val, "l_dpc": float(total.data), "l_ifc": 0.0,
-                      "lambda_dpc": 0.0}
-        elif cfg.strategy == "sam-tta":
-            t_out = self._teacher_forward(sample.image, x_s, sample.box)
-            if step == 0 or cfg.update_max_every_step:
-                self.running_max.update(s_val)
-            total, bd = losses.total_tta_loss(s_out, t_out, self.running_max, cfg.lambda_ifc)
-            self.records.append(bd)
-            logged = {"l_icm": bd.l_icm, "l_dpc": bd.l_dpc, "l_ifc": bd.l_ifc,
-                      "lambda_dpc": bd.lambda_dpc}
-        else:  # sbct-only
-            t_out = self._teacher_forward(sample.image, x_s, sample.box)
-            if step == 0 or cfg.update_max_every_step:
-                self.running_max.update(s_val)
-            weight = losses.lambda_dpc(s_val, self.running_max)
-            dpc = losses.l_dpc(s_out, t_out)
-            total = losses.l_icm(s_out.s_iou) + weight * dpc
-            self.records.append(losses.LossBreakdown(
-                l_icm=1.0 - s_val, l_dpc=float(dpc.data), l_ifc=0.0,
-                lambda_dpc=weight, total=float(total.data), s_iou=s_val))
-            logged = {"l_icm": 1.0 - s_val, "l_dpc": float(dpc.data), "l_ifc": 0.0,
-                      "lambda_dpc": weight}
-
-        if not math.isfinite(float(total.data)):
-            return _StepResult(False, outputs=s_out, reason="non-finite loss")
+        t_out = self._teacher_forward(sample.image, x_s, sample.box) if spec.teacher else None
+        if weighted and step == 0:
+            self.running_max.update(s_val)
+        total, breakdown = losses.total_tta_loss(s_out, t_out, self.running_max, spec.objective)
+        if not math.isfinite(breakdown.total):
+            return s_out, None, "non-finite loss"
 
         total.backward()
-        if self.sbct is not None and self.sbct.u.requires_grad:
+        if self.sbct is not None:
             adam_step({"sbct.u": self.sbct.u}, self.opt_sbct, cfg.lr_sbct)
         model_trainable = self.student.trainable()
         if model_trainable:
             adam_step(model_trainable, self.opt_model, cfg.lr_lora_prompt, cfg.weight_decay)
-        if cfg.strategy in ("sam-tta", "mean-teacher"):
+        if self.teacher is not None:
             ema_update(self.teacher, self.student, cfg.ema_alpha)
-        elif cfg.strategy == "sbct-only":
+        elif self.teacher_sbct is not None:
             u = self.teacher_sbct.u
             u.data = cfg.ema_alpha * u.data + (1.0 - cfg.ema_alpha) * self.sbct.u.data
-        return _StepResult(True, logged=logged)
+        self.records.append(breakdown)
+        return s_out, breakdown, None
 
     def process(self, sample: synthdata.StreamSample):
         """Adapt on one sample and return (prediction mask, metrics row)."""
@@ -196,43 +183,32 @@ class AdaptEngine:
             # empty-mask sentinel: no prompt can be formed, nothing to adapt
             self._record_skip(i, "empty ground-truth mask, no prompt")
             pred = np.zeros(sample.gt_mask.shape, dtype=bool)
-            return pred, self._row(i, pred, sample.gt_mask, float("nan"), _NAN_LOGGED)
+            return pred, metrics.score_row(i, pred, sample.gt_mask)
 
-        logged = {"l_icm": float("nan"), "l_dpc": 0.0, "l_ifc": 0.0, "lambda_dpc": 0.0}
-        if self.cfg.strategy != "none":
-            for step in range(self.cfg.steps_per_image):
-                result = self._train_step(sample, step)
-                if not result.ok:
-                    self._record_skip(i, result.reason)
-                    pred = result.outputs.m_high.data > 0.0
-                    s_val = float(result.outputs.s_iou.data)
-                    return pred, self._row(i, pred, sample.gt_mask,
-                                           s_val if math.isfinite(s_val) else float("nan"),
-                                           _NAN_LOGGED)
-                logged = result.logged
+        breakdown = None
+        for step in range(self.cfg.steps_per_image if self.spec.objective else 0):
+            s_out, breakdown, reason = self._train_step(sample, step)
+            if reason is not None:
+                self._record_skip(i, reason)
+                pred = s_out.m_high.data > 0.0
+                s_val = float(s_out.s_iou.data)
+                return pred, metrics.score_row(i, pred, sample.gt_mask,
+                                               s_val if math.isfinite(s_val) else float("nan"))
 
         with no_grad():
             x = self._student_input(sample.image)
             out = self.student.forward(x, sample.box)
         pred = out.m_high.data > 0.0
         s_final = float(out.s_iou.data)
-        if self.cfg.strategy == "none":
-            logged = {"l_icm": 1.0 - s_final, "l_dpc": 0.0, "l_ifc": 0.0, "lambda_dpc": 0.0}
-        return pred, self._row(i, pred, sample.gt_mask, s_final, logged)
+        if breakdown is None:  # frozen inference logs its own confidence term
+            return pred, metrics.score_row(i, pred, sample.gt_mask, s_final, 1.0 - s_final,
+                                           0.0, 0.0, 0.0)
+        return pred, metrics.score_row(i, pred, sample.gt_mask, s_final, breakdown.l_icm,
+                                       breakdown.l_dpc, breakdown.l_ifc, breakdown.lambda_dpc)
 
     def _record_skip(self, index: int, reason: str):
         self.skipped.append({"index": index, "reason": reason})
         log.warning("image %d: adaptation skipped (%s)", index, reason)
-
-    def _row(self, index, pred, gt, pred_iou, logged) -> metrics.MetricsRow:
-        return metrics.MetricsRow(
-            index=index,
-            dice=metrics.dice(pred, gt),
-            hd95=metrics.hd95(pred, gt),
-            pred_iou=pred_iou,
-            true_iou=metrics.binary_iou(pred, gt),
-            **logged,
-        )
 
     def dump_sbct(self, index: int, image: np.ndarray, out_dir):
         """Diagnostic export: curve samples as CSV plus the remapped

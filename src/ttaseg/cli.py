@@ -160,7 +160,7 @@ def _cmd_adapt(args) -> int:
 
     def body():
         model = load_checkpoint(args.checkpoint)
-        samples = adapt.load_stream(args.manifest, cfg.prompt_pad)
+        samples = adapt.load_stream(args.manifest)
         result = adapt.adapt_stream(model, samples, cfg, out, dump_sbct_dir=args.dump_sbct,
                                     extra_run_info={"checkpoint": str(args.checkpoint),
                                                     "manifest": str(args.manifest)})
@@ -191,17 +191,8 @@ def _cmd_eval(args) -> int:
             pred_path = pred_dir / f"pred_{i:05d}.pgm"
             pred = netpbm.read_pnm(pred_path) > 0.5
             prev = carried.get(i)
-            rows.append(metrics.MetricsRow(
-                index=i,
-                dice=metrics.dice(pred, gt),
-                hd95=metrics.hd95(pred, gt),
-                pred_iou=prev.pred_iou if prev else float("nan"),
-                true_iou=metrics.binary_iou(pred, gt),
-                l_icm=prev.l_icm if prev else float("nan"),
-                l_dpc=prev.l_dpc if prev else float("nan"),
-                l_ifc=prev.l_ifc if prev else float("nan"),
-                lambda_dpc=prev.lambda_dpc if prev else float("nan"),
-            ))
+            logged = (prev.pred_iou, prev.l_icm, prev.l_dpc, prev.l_ifc, prev.lambda_dpc) if prev else ()
+            rows.append(metrics.score_row(i, pred, gt, *logged))
         metrics.write_metrics_csv(rows, out)
         summary = metrics.summarize(rows, metrics.hd95_sentinel(shape))
         print(metrics.format_summary(summary))

@@ -6,6 +6,7 @@ EMA teacher weighted by the stream-normalized confidence, and a
 channel-wise spatial-KL feature consistency term whose temperature is the
 IoU estimate itself. The consistency weight and the temperature are
 treated as detached scalars: they steer the loss but receive no gradient.
+The baselines' objectives are sums of the same terms, or TENT's entropy.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import binary_iou
-from .model import SegOutputs
+from .model import SegOutputs, tokens_to_grid
 from .tensor import Tensor, log_softmax
 
 EPSILON = 1e-6
@@ -32,6 +33,12 @@ class LossBreakdown:
     s_iou: float
 
 
+def confidence_stat(s_iou: float) -> float:
+    """-log(1 - S_IoU + EPSILON): positive exactly when S_IoU > EPSILON,
+    except within a few 1e-17 above it, where the argument rounds to 1."""
+    return -math.log(1.0 - s_iou + EPSILON)
+
+
 class RunningMax:
     """Nondecreasing maximum of the confidence statistic over the stream."""
 
@@ -42,19 +49,25 @@ class RunningMax:
     def update(self, s_iou: float):
         if not math.isfinite(s_iou):
             raise ValueError(f"RunningMax.update: non-finite confidence {s_iou}")
-        self.m = max(self.m, -math.log(1.0 - s_iou + EPSILON))
+        self.m = max(self.m, confidence_stat(s_iou))
         self.count += 1
 
 
 def lambda_dpc(s_iou: float, running_max: RunningMax) -> float:
-    """Per-image consistency weight, normalized by the stream maximum.
+    """Per-image consistency weight in (0, 1], normalized by the stream maximum.
 
     The running max must already include the current sample, which makes
-    the first image's weight exactly 1.
+    the first image's weight exactly 1. A confidence whose statistic is not
+    positive (S_IoU <= EPSILON) has no weight in (0, 1] and is refused.
     """
     if running_max.count == 0:
         raise ValueError("lambda_dpc: running max was never updated")
-    return -math.log(1.0 - s_iou + EPSILON) / running_max.m
+    stat = confidence_stat(s_iou)
+    if stat <= 0.0 or running_max.m <= 0.0:
+        raise ValueError(f"lambda_dpc: confidence {s_iou!r} (stream max statistic "
+                         f"{running_max.m!r}) is at or below EPSILON, so the weight "
+                         f"is not in (0, 1]")
+    return stat / running_max.m
 
 
 def l_icm(s_iou: Tensor) -> Tensor:
@@ -96,30 +109,41 @@ def l_ifc(z_student: Tensor, z_teacher: Tensor, s_iou: float) -> Tensor:
     return (p_t * (logp_t - logp_s)).sum() * (1.0 / (d * h * w))
 
 
-def total_tta_loss(student: SegOutputs, teacher: SegOutputs, running_max: RunningMax,
-                   lambda_ifc: float = 1.0):
-    """Combined objective; returns the loss tensor and a float breakdown.
+PAPER_OBJECTIVE = ("icm", "lambda_dpc", "ifc")
 
-    The caller is responsible for updating ``running_max`` with the
-    current sample first.
+
+def total_tta_loss(student: SegOutputs, teacher: SegOutputs | None, running_max: RunningMax,
+                   terms: tuple = PAPER_OBJECTIVE):
+    """One adaptation objective, the sum of ``terms`` in order; returns the
+    loss tensor and a float breakdown.
+
+    Terms are "entropy", "icm", "dpc", "lambda_dpc" (l_dpc weighted by
+    lambda_dpc) and "ifc". The breakdown always logs l_icm as 1 - S_IoU. It
+    logs 0.0 for an l_dpc or l_ifc the objective leaves out, and for lambda
+    unless the objective weights l_dpc by it. With "lambda_dpc" the caller
+    updates ``running_max`` with the current sample first.
     """
-    from .model import tokens_to_grid
-
     s_val = float(student.s_iou.data)
-    weight = lambda_dpc(s_val, running_max)
-    icm = l_icm(student.s_iou)
-    dpc = l_dpc(student, teacher)
-    ifc = l_ifc(tokens_to_grid(student.z), tokens_to_grid(teacher.z), s_val)
-    total = icm + weight * dpc + lambda_ifc * ifc
-    breakdown = LossBreakdown(
-        l_icm=float(icm.data),
-        l_dpc=float(dpc.data),
-        l_ifc=float(ifc.data),
-        lambda_dpc=weight,
-        total=float(total.data),
-        s_iou=s_val,
-    )
-    return total, breakdown
+    weight = lambda_dpc(s_val, running_max) if "lambda_dpc" in terms else 0.0
+    logged = {"l_icm": 1.0 - s_val, "l_dpc": 0.0, "l_ifc": 0.0}
+    total = None
+    for term in terms:
+        if term == "entropy":
+            part = entropy_loss(student.m_high)
+        elif term == "icm":
+            part = l_icm(student.s_iou)
+        elif term == "ifc":
+            part = l_ifc(tokens_to_grid(student.z), tokens_to_grid(teacher.z), s_val)
+            logged["l_ifc"] = float(part.data)
+        elif term in ("dpc", "lambda_dpc"):
+            part = l_dpc(student, teacher)
+            logged["l_dpc"] = float(part.data)
+            if term == "lambda_dpc":
+                part = weight * part
+        else:
+            raise ValueError(f"total_tta_loss: unknown term {term!r}")
+        total = part if total is None else total + part
+    return total, LossBreakdown(**logged, lambda_dpc=weight, total=float(total.data), s_iou=s_val)
 
 
 # -- pretraining and baseline objectives -------------------------------------

@@ -104,6 +104,16 @@ def hd95(pred: np.ndarray, gt: np.ndarray) -> float:
     return max(percentile_linear(d_pg, 95.0), percentile_linear(d_gp, 95.0))
 
 
+def score_row(index: int, pred: np.ndarray, gt: np.ndarray, pred_iou: float = math.nan,
+              l_icm: float = math.nan, l_dpc: float = math.nan, l_ifc: float = math.nan,
+              lambda_dpc: float = math.nan) -> MetricsRow:
+    """Score one prediction against its ground truth; the IoU estimate and
+    the loss columns are whatever the caller logged, nan when nothing was."""
+    return MetricsRow(index=index, dice=dice(pred, gt), hd95=hd95(pred, gt), pred_iou=pred_iou,
+                      true_iou=binary_iou(pred, gt), l_icm=l_icm, l_dpc=l_dpc, l_ifc=l_ifc,
+                      lambda_dpc=lambda_dpc)
+
+
 def pearson_r(x, y) -> float:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)

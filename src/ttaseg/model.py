@@ -24,11 +24,6 @@ PROMPT_FREQS = 8
 _LORA_BITS = {"q": 1, "k": 2, "v": 4, "o": 8}
 
 
-def gelu(x: Tensor) -> Tensor:
-    """tanh-form GELU; smooth, so finite-difference checks stay tight."""
-    return x.gelu()
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     image_size: int = 64
@@ -238,7 +233,7 @@ class SegModel:
 
     def _mlp(self, x: Tensor, prefix: str) -> Tensor:
         p = self.params
-        h = gelu(x @ p[f"{prefix}.w1"].transpose() + p[f"{prefix}.b1"])
+        h = (x @ p[f"{prefix}.w1"].transpose() + p[f"{prefix}.b1"]).gelu()
         return h @ p[f"{prefix}.w2"].transpose() + p[f"{prefix}.b2"]
 
     def _attention(self, q_in: Tensor, kv_in: Tensor, prefix: str) -> Tensor:
@@ -263,7 +258,7 @@ class SegModel:
         parts = []
         dout = None
         for pos in _UP_POS:
-            part = gelu(self._linear(flat, f"{prefix}.{pos}"))
+            part = self._linear(flat, f"{prefix}.{pos}").gelu()
             dout = part.shape[1]
             parts.append(part.reshape(hh, ww, 1, dout))
         merged = concat(parts, axis=2)
@@ -298,7 +293,7 @@ class SegModel:
         nb = Tensor((coords / s).reshape(1, 4))
         f = nb @ self.params["prompt.freq"].transpose() * (2.0 * np.pi)
         feats = concat([f.sin(), f.cos()], axis=1)
-        h = gelu(feats @ self.params["prompt.mlp.w1"].transpose() + self.params["prompt.mlp.b1"])
+        h = (feats @ self.params["prompt.mlp.w1"].transpose() + self.params["prompt.mlp.b1"]).gelu()
         return h @ self.params["prompt.mlp.w2"].transpose() + self.params["prompt.mlp.b2"]
 
     def decode(self, z: Tensor, e: Tensor) -> SegOutputs:
@@ -320,7 +315,7 @@ class SegModel:
         high = self.config.highres_size
         m_high = (f64.reshape(high * high, -1) @ self.params["dec.highhead.w"].transpose()
                   + self.params["dec.highhead.b"]).reshape(high, high)
-        ih = gelu(qp @ self.params["dec.iou.w1"].transpose() + self.params["dec.iou.b1"])
+        ih = (qp @ self.params["dec.iou.w1"].transpose() + self.params["dec.iou.b1"]).gelu()
         s_iou = ((ih @ self.params["dec.iou.w2"].transpose() + self.params["dec.iou.b2"])
                  .reshape(()).sigmoid())
         return SegOutputs(m_low=m_low, m_high=m_high, s_iou=s_iou, z=z)

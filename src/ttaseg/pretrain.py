@@ -14,9 +14,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import losses, metrics, synthdata
+from . import adapt, losses, metrics, synthdata
 from .model import ModelConfig, SegModel, save_checkpoint
-from .tensor import AdamState, adam_step, no_grad
+from .tensor import AdamState, Tensor, adam_step, no_grad
 
 # fixed offset separating the held-out validation stream from training data
 VAL_SEED_OFFSET = 500_009
@@ -51,9 +51,9 @@ def sample_loss(model: SegModel, sample: synthdata.StreamSample, cfg: PretrainCo
     gt = sample.gt_mask
     factor = model.config.highres_size // model.config.lowres_size
     gt_low = downsample_mask(gt, factor)
-    loss = (cfg.dice_weight * losses.soft_dice(out.m_high.sigmoid(), losses.Tensor(gt.astype(np.float64)))
+    loss = (cfg.dice_weight * losses.soft_dice(out.m_high.sigmoid(), Tensor(gt.astype(np.float64)))
             + cfg.bce_weight * losses.bce_with_logits(out.m_high, gt)
-            + cfg.dice_weight * losses.soft_dice(out.m_low.sigmoid(), losses.Tensor(gt_low))
+            + cfg.dice_weight * losses.soft_dice(out.m_low.sigmoid(), Tensor(gt_low))
             + cfg.iou_weight * losses.iou_head_loss(out.s_iou, out.m_high, gt))
     return loss, out
 
@@ -65,21 +65,11 @@ def evaluate(model: SegModel, samples) -> dict:
     convention for a three-channel model)."""
     rows = []
     for i, s in enumerate(samples):
-        image = np.stack([s.image] * 3) if s.image.ndim == 2 else s.image
         with no_grad():
-            out = model.forward(image, s.box)
+            out = model.forward(adapt.replicate_channels(s.image), s.box)
         pred = out.m_high.data > 0.0
-        rows.append(metrics.MetricsRow(
-            index=i,
-            dice=metrics.dice(pred, s.gt_mask),
-            hd95=metrics.hd95(pred, s.gt_mask),
-            pred_iou=float(out.s_iou.data),
-            true_iou=metrics.binary_iou(pred, s.gt_mask),
-            l_icm=1.0 - float(out.s_iou.data),
-            l_dpc=0.0,
-            l_ifc=0.0,
-            lambda_dpc=0.0,
-        ))
+        s_val = float(out.s_iou.data)
+        rows.append(metrics.score_row(i, pred, s.gt_mask, s_val, 1.0 - s_val, 0.0, 0.0, 0.0))
     sentinel = metrics.hd95_sentinel(samples[0].gt_mask.shape)
     summary = metrics.summarize(rows, sentinel)
     summary["rows"] = rows
@@ -137,9 +127,3 @@ def pretrain(cfg: PretrainConfig, out_path, model_config: ModelConfig | None = N
         "checkpoint": str(out_path),
     }
 
-
-def validate(model: SegModel, manifest_path, pad: int = 2) -> dict:
-    """Frozen inference over a manifest, summarized."""
-    pairs = synthdata.load_manifest(manifest_path)
-    samples = [synthdata.load_sample(img, mask, pad) for img, mask in pairs]
-    return evaluate(model, samples)

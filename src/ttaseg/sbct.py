@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor, concat
+from .tensor import Tensor, _stable_sigmoid
 
 # Control-point x coordinates: fixed, never trained.
 X_NODES = (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
@@ -37,16 +37,7 @@ class SbctParams:
         return self.u.sigmoid()
 
     def heights_array(self) -> np.ndarray:
-        return _np_sigmoid(self.u.data)
-
-    def clone(self) -> "SbctParams":
-        t = Tensor(self.u.data, requires_grad=self.u.requires_grad)
-        return SbctParams(t)
-
-
-def _np_sigmoid(x: np.ndarray) -> np.ndarray:
-    s = 1.0 / (1.0 + np.exp(-np.abs(x)))
-    return np.where(x >= 0, s, 1.0 - s)
+        return _stable_sigmoid(self.u.data)
 
 
 def init_identity(delta: float = 1e-3) -> SbctParams:
@@ -71,20 +62,6 @@ def _bernstein_rows(t: np.ndarray) -> np.ndarray:
 def _check_unit_range(x: np.ndarray, what: str):
     if x.size and (x.min() < 0.0 or x.max() > 1.0):
         raise ValueError(f"{what}: values must lie in [0, 1], got range [{x.min():.6g}, {x.max():.6g}]")
-
-
-def eval_curve(t, heights: Tensor) -> Tensor:
-    """Evaluate one cubic curve at t in [0, 1]; differentiable in both arguments."""
-    t = as_tensor(t)
-    _check_unit_range(t.data, "eval_curve: t")
-    if heights.shape != (N_POINTS,):
-        raise ValueError(f"eval_curve: expected 4 control heights, got shape {heights.shape}")
-    shape = t.shape
-    n = max(t.size, 1)
-    tf = t.reshape(1, n)
-    omt = 1.0 - tf
-    basis = concat([omt**3, 3.0 * tf * omt**2, 3.0 * tf**2 * omt, tf**3], axis=0)
-    return (heights.reshape(1, N_POINTS) @ basis).reshape(shape)
 
 
 def transform_gray(x: np.ndarray, params: SbctParams) -> Tensor:

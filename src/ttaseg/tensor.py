@@ -286,15 +286,6 @@ class Tensor:
 
         return Tensor._node(out, (a,), bw, "sigmoid")
 
-    def tanh(self):
-        a = self
-        out = np.tanh(a.data)
-
-        def bw(g):
-            a._accum(g * (1.0 - out * out))
-
-        return Tensor._node(out, (a,), bw, "tanh")
-
     def gelu(self):
         """tanh-form GELU as one node; smooth everywhere."""
         a = self
@@ -504,9 +495,4 @@ def adam_step(params: Mapping[str, Tensor], state: AdamState, lr: float, weight_
         state.m[name] = m
         state.v[name] = v
         p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-        p.grad = None
-
-
-def zero_grads(params: Mapping[str, Tensor]):
-    for p in params.values():
         p.grad = None

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -39,12 +40,18 @@ def accept_ckpt(tmp_path_factory):
     """The pinned-config pretrained checkpoint used by measured tests.
 
     Set TTASEG_TEST_CACHE to a directory to reuse the checkpoint across
-    pytest invocations while iterating locally.
+    pytest invocations while iterating locally. The cached file is named by
+    a hash of the pretraining config and the package source, so a
+    checkpoint written by another config or another source tree is never
+    reused.
     """
     cfg = pretrain.PretrainConfig(**PINNED["pretrain"]["config"])
     cache = os.environ.get("TTASEG_TEST_CACHE")
     if cache:
-        path = Path(cache) / "accept.ckpt"
+        key = hashlib.sha256(json.dumps(PINNED["pretrain"]["config"], sort_keys=True).encode())
+        for source in sorted((REPO_ROOT / "src" / "ttaseg").glob("*.py")):
+            key.update(source.name.encode() + source.read_bytes())
+        path = Path(cache) / f"accept-{key.hexdigest()[:16]}.ckpt"
         path.parent.mkdir(parents=True, exist_ok=True)
         if not path.exists():
             pretrain.pretrain(cfg, path)

@@ -152,12 +152,37 @@ def test_running_max_nondecreasing_across_stream(base_model):
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
-def test_breakdown_identity_on_stream_rows(base_model):
-    engine = AdaptEngine(base_model, AdaptConfig(strategy="sam-tta", seed=4))
-    for s in target_stream(5):
-        _, row = engine.process(s)
-        # identity holds for the logged parts (total not logged per row; recompute)
-        assert row.l_icm >= 0.0 and row.l_dpc >= 0.0 and row.l_ifc >= 0.0
+# loss columns each objective leaves out; they log 0.0
+_UNUSED_TERMS = {
+    "tent": ("l_dpc", "l_ifc", "lambda_dpc"),
+    "mean-teacher": ("l_ifc", "lambda_dpc"),
+    "sam-tta": (),
+    "sbct-only": ("l_ifc",),
+}
+_LAMBDA_WEIGHTED = ("sam-tta", "sbct-only")
+_TERMS = ("l_icm", "l_dpc", "l_ifc", "lambda_dpc")
+
+
+@pytest.mark.parametrize("strategy", ["none", "tent", "mean-teacher", "sam-tta", "sbct-only"])
+def test_breakdown_identity_on_stream_rows(base_model, strategy):
+    engine = AdaptEngine(base_model, AdaptConfig(strategy=strategy, seed=4))
+    rows = [engine.process(s)[1] for s in target_stream(5)]
+    assert not engine.skipped
+    if strategy == "none":
+        assert not engine.records
+        for row in rows:
+            assert row.l_icm == 1.0 - row.pred_iou
+            assert (row.l_dpc, row.l_ifc, row.lambda_dpc) == (0.0, 0.0, 0.0)
+        return
+    assert len(engine.records) == len(rows)
+    for row, bd in zip(rows, engine.records):
+        assert [getattr(row, k) for k in _TERMS] == [getattr(bd, k) for k in _TERMS]
+        for k in _UNUSED_TERMS[strategy]:
+            assert getattr(row, k) == 0.0, k
+        if strategy in _LAMBDA_WEIGHTED:
+            total = bd.l_icm + bd.lambda_dpc * bd.l_dpc + bd.l_ifc
+            assert abs(bd.total - total) <= 1e-12 * abs(bd.total)
+            assert 0.0 < bd.lambda_dpc <= 1.0
 
 
 def test_mean_teacher_first_loss_small(accept_model):
@@ -275,6 +300,27 @@ def test_nan_image_skips_update_and_stream_continues(base_model, caplog):
     # stream continues normally
     _, row3 = engine.process(samples[2])
     assert math.isfinite(row3.dice)
+
+
+@pytest.mark.parametrize("strategy", ["sam-tta", "sbct-only"])
+def test_confidence_at_epsilon_skips_instead_of_crashing(base_model, strategy, caplog):
+    # sigmoid(-30) ~ 1e-13: every confidence is below EPSILON, so lambda has
+    # no positive running max to divide by
+    base_model.params["dec.iou.b2"].data = np.full((1,), -30.0)
+    engine = AdaptEngine(base_model, AdaptConfig(strategy=strategy, seed=12))
+    u_before = engine.sbct.u.data.copy()
+    before = {n: p.data.copy() for n, p in engine.student.params.items()}
+    with caplog.at_level("WARNING", logger="ttaseg.adapt"):
+        rows = [engine.process(s)[1] for s in target_stream(3)]
+    assert [s["index"] for s in engine.skipped] == [0, 1, 2]
+    assert all("EPSILON" in s["reason"] for s in engine.skipped)
+    assert caplog.text.count("skipped") == 3
+    assert engine.running_max.count == 0 and not engine.records
+    assert np.array_equal(engine.sbct.u.data, u_before)
+    for name, p in engine.student.params.items():
+        assert np.array_equal(p.data, before[name]), name
+    for row in rows:
+        assert 0.0 < row.pred_iou <= losses.EPSILON and math.isnan(row.l_icm)
 
 
 def test_empty_mask_sentinel_sample_is_skipped(base_model):

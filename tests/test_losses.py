@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdcheck import assert_grads_close, numeric_grad
-from ttaseg.losses import (EPSILON, LossBreakdown, RunningMax, bce_with_logits, entropy_loss,
-                           iou_head_loss, l_dpc, l_icm, l_ifc, lambda_dpc, soft_dice,
+from ttaseg.losses import (EPSILON, LossBreakdown, RunningMax, bce_with_logits, confidence_stat,
+                           entropy_loss, iou_head_loss, l_dpc, l_icm, l_ifc, lambda_dpc, soft_dice,
                            total_tta_loss)
 from ttaseg.model import SegOutputs
 from ttaseg.tensor import Tensor, softmax
@@ -167,6 +167,41 @@ def test_lambda_requires_prior_update():
         lambda_dpc(0.5, RunningMax())
 
 
+def test_lambda_rejects_confidence_at_or_below_epsilon():
+    # every confidence so far <= EPSILON leaves the running max at 0
+    rm = RunningMax()
+    rm.update(5e-7)
+    with pytest.raises(ValueError, match="EPSILON"):
+        lambda_dpc(5e-7, rm)
+    # a positive running max, but this image's statistic is negative
+    rm = RunningMax()
+    rm.update(0.5)
+    with pytest.raises(ValueError, match="EPSILON"):
+        lambda_dpc(1e-7, rm)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(EPSILON, 1.0, exclude_min=True, exclude_max=True), min_size=1,
+                max_size=12))
+def test_lambda_in_unit_interval_for_any_history(history):
+    """Each confidence in (EPSILON, 1) gets a weight in (0, 1]. Within a few
+    1e-17 of EPSILON, 1 - s + EPSILON rounds to 1 and the statistic to 0;
+    those are the images the engine skips, and lambda_dpc refuses them."""
+    rm = RunningMax()
+    kept = []
+    for s in history:
+        if confidence_stat(s) <= 0.0:
+            assert s < EPSILON + 1e-15
+            with pytest.raises(ValueError):
+                lambda_dpc(s, rm)
+            continue
+        rm.update(s)
+        kept.append(s)
+        assert 0.0 < lambda_dpc(s, rm) <= 1.0
+    for s in kept:
+        assert 0.0 < lambda_dpc(s, rm) <= 1.0
+
+
 def test_running_max_nondecreasing_and_finite_guard():
     rm = RunningMax()
     last = 0.0
@@ -245,7 +280,7 @@ def test_breakdown_identity_and_weight_range():
         student = make_outputs(rng, s_logit=rng.normal())
         teacher = make_outputs(rng)
         rm.update(float(student.s_iou.data))
-        total, bd = total_tta_loss(student, teacher, rm, lambda_ifc=1.0)
+        total, bd = total_tta_loss(student, teacher, rm)
         recomputed = bd.l_icm + bd.lambda_dpc * bd.l_dpc + 1.0 * bd.l_ifc
         assert abs(bd.total - recomputed) <= 1e-12
         assert abs(total.item() - bd.total) == 0.0

@@ -4,9 +4,7 @@ import pytest
 from conftest import CONFIG16, PINNED
 from ttaseg import synthdata
 from ttaseg.model import load_checkpoint
-from ttaseg.pretrain import (PretrainConfig, downsample_mask, evaluate, pretrain, sample_loss,
-                             validate)
-from ttaseg.synthdata import write_dataset
+from ttaseg.pretrain import PretrainConfig, downsample_mask, evaluate, pretrain, sample_loss
 
 TINY = PretrainConfig(epochs=1, lr=1e-3, seed=0, n_train=8, n_val=4)
 
@@ -113,19 +111,6 @@ def test_divergence_aborts_with_epoch(tmp_path, monkeypatch):
 def test_pretrain_rejects_mismatched_canvas(tmp_path):
     with pytest.raises(ValueError, match="canvas"):
         pretrain(TINY, tmp_path / "m.ckpt", model_config=CONFIG16)
-
-
-def test_validate_deterministic_and_rejects_empty(tmp_path, accept_model):
-    manifest = write_dataset(synthdata.gen_target(5, 4, "ct-like"), tmp_path / "data")
-    a = validate(accept_model, manifest)
-    b = validate(accept_model, manifest)
-    a.pop("rows")
-    b.pop("rows")
-    assert a == b
-    empty = tmp_path / "empty.csv"
-    empty.write_text("image,mask\n")
-    with pytest.raises(ValueError, match="no samples"):
-        validate(accept_model, empty)
 
 
 def test_sample_loss_components_positive(model16):

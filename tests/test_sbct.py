@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdcheck import assert_grads_close, numeric_grad
-from ttaseg.sbct import (SbctParams, apply_lut, curve_lut, curve_samples, eval_curve,
-                         init_identity, transform, transform_color, transform_gray)
+from ttaseg.sbct import (SbctParams, apply_lut, curve_lut, curve_samples, init_identity,
+                         transform, transform_color, transform_gray)
 from ttaseg.tensor import Tensor
 
 
@@ -20,26 +20,37 @@ def random_params(seed):
     return SbctParams(Tensor(rng.normal(0.0, 1.5, (3, 4)), requires_grad=True))
 
 
+class FixedHeights:
+    """Curve parameters whose control heights are given directly, the same
+    four in every channel, so exact heights such as 0 and 1/3 can be set."""
+
+    def __init__(self, heights):
+        self._heights = Tensor(np.tile(heights, (3, 1)))
+
+    def heights(self) -> Tensor:
+        return self._heights
+
+
 def test_curve_starts_at_first_control_height():
-    heights = Tensor([0.2, 0.5, 0.5, 0.9])
-    assert eval_curve(0.0, heights).item() == 0.2
-    assert eval_curve(1.0, heights).item() == 0.9
+    out = transform_gray(np.array([[0.0, 1.0]]), FixedHeights([0.2, 0.5, 0.5, 0.9])).data
+    assert np.all(out[:, 0, 0] == 0.2)
+    assert np.all(out[:, 0, 1] == 0.9)
 
 
 def test_curve_linear_precision():
-    heights = Tensor([0.0, 1 / 3, 2 / 3, 1.0])
     t = np.linspace(0.0, 1.0, 33)
-    out = eval_curve(Tensor(t), heights)
-    assert np.allclose(out.data, t, atol=1e-15)
+    out = transform_gray(t.reshape(1, -1), FixedHeights([0.0, 1 / 3, 2 / 3, 1.0]))
+    assert np.allclose(out.data, t.reshape(1, 1, -1), atol=1e-15)
 
 
 def test_curve_point_symmetry_case():
-    assert abs(eval_curve(0.5, Tensor([0.0, 0.0, 1.0, 1.0])).item() - 0.5) <= 1e-15
+    out = transform_gray(np.array([[0.5]]), FixedHeights([0.0, 0.0, 1.0, 1.0]))
+    assert np.all(np.abs(out.data - 0.5) <= 1e-15)
 
 
 def test_curve_rejects_t_outside_unit_interval():
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
-        eval_curve(1.5, Tensor([0.1, 0.2, 0.3, 0.4]))
+        transform_gray(np.array([[1.5]]), FixedHeights([0.1, 0.2, 0.3, 0.4]))
 
 
 def test_identity_init_is_near_identity():
@@ -156,18 +167,6 @@ def test_gradient_of_mean_transform_matches_finite_differences():
     transform_gray(x, params).mean().backward()
     assert_grads_close(params.u.grad, numeric_grad(f, params.u), rtol=1e-5, atol=1e-9,
                        label="sbct-u")
-
-
-def test_eval_curve_differentiable_in_t():
-    t = Tensor([0.25, 0.5, 0.75], requires_grad=True)
-    heights = Tensor([0.1, 0.6, 0.2, 0.9], requires_grad=True)
-    eval_curve(t, heights).sum().backward()
-
-    def f():
-        return float(eval_curve(Tensor(t.data), Tensor(heights.data)).sum().data)
-
-    assert_grads_close(t.grad, numeric_grad(f, t), rtol=1e-6, atol=1e-9, label="t")
-    assert_grads_close(heights.grad, numeric_grad(f, heights), rtol=1e-6, atol=1e-9, label="P")
 
 
 def test_transform_rejects_unnormalized_input():

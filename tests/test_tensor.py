@@ -175,7 +175,6 @@ _UNARY_OPS = {
     "log": (lambda t: t.log(), 0.05, 5.0),
     "exp": (lambda t: t.exp(), -2.0, 2.0),
     "sigmoid": (lambda t: t.sigmoid(), -5.0, 5.0),
-    "tanh": (lambda t: t.tanh(), -3.0, 3.0),
     "softplus": (lambda t: t.softplus(), -5.0, 5.0),
     "gelu": (lambda t: t.gelu(), -4.0, 4.0),
     "sin": (lambda t: t.sin(), -3.0, 3.0),
