@@ -62,13 +62,15 @@ STRATEGY_TABLE = {
 STRATEGIES = ("sam-tta", "tent", "mean-teacher", "none")
 
 
+LR_SBCT = 0.01  # Adam rate of the 12 curve scalars
+LR_LORA_PROMPT = 0.001  # Adam rate of the LoRA adapters and the prompt encoder
+WEIGHT_DECAY = 1e-4  # coupled L2 on the LoRA adapters and the prompt encoder
+EMA_ALPHA = 0.95  # teacher <- EMA_ALPHA * teacher + (1 - EMA_ALPHA) * student
+
+
 @dataclass
 class AdaptConfig:
     strategy: str = "sam-tta"
-    lr_sbct: float = 0.01
-    lr_lora_prompt: float = 0.001
-    weight_decay: float = 1e-4
-    ema_alpha: float = 0.95
     steps_per_image: int = 1
     seed: int = 0
     reset_optimizer: bool = False
@@ -76,10 +78,8 @@ class AdaptConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGY_TABLE:
             raise ValueError(f"AdaptConfig: unknown strategy {self.strategy!r}")
-        if min(self.lr_sbct, self.lr_lora_prompt) <= 0 or self.steps_per_image < 1:
-            raise ValueError("AdaptConfig: rates and steps_per_image must be positive")
-        if not 0.0 < self.ema_alpha < 1.0:
-            raise ValueError("AdaptConfig: ema_alpha must lie in (0, 1)")
+        if self.steps_per_image < 1:
+            raise ValueError("AdaptConfig: steps_per_image must be positive")
 
 
 def replicate_channels(image: np.ndarray) -> np.ndarray:
@@ -137,10 +137,10 @@ class AdaptEngine:
             # same remapped input as the student, under stop-gradient
             return self.teacher.forward(x_student.detach(), box)
 
-    def _train_step(self, sample: synthdata.StreamSample, step: int):
+    def _train_step(self, sample: synthdata.StreamSample):
         """One update; returns the student's outputs, the loss breakdown,
         and the reason when the image is skipped instead."""
-        cfg, spec = self.cfg, self.spec
+        spec = self.spec
         x_s = self._student_input(sample.image)
         s_out = self.student.forward(x_s, sample.box)
         s_val = float(s_out.s_iou.data)
@@ -151,7 +151,7 @@ class AdaptEngine:
             return s_out, None, f"confidence {s_val!r} at or below EPSILON, no consistency weight"
 
         t_out = self._teacher_forward(sample.image, x_s, sample.box) if spec.teacher else None
-        if weighted and step == 0:
+        if weighted:  # on every step, so that lambda stays in (0, 1] at any K
             self.running_max.update(s_val)
         total, breakdown = losses.total_tta_loss(s_out, t_out, self.running_max, spec.objective)
         if not math.isfinite(breakdown.total):
@@ -159,15 +159,15 @@ class AdaptEngine:
 
         total.backward()
         if self.sbct is not None:
-            adam_step({"sbct.u": self.sbct.u}, self.opt_sbct, cfg.lr_sbct)
+            adam_step({"sbct.u": self.sbct.u}, self.opt_sbct, LR_SBCT)
         model_trainable = self.student.trainable()
         if model_trainable:
-            adam_step(model_trainable, self.opt_model, cfg.lr_lora_prompt, cfg.weight_decay)
+            adam_step(model_trainable, self.opt_model, LR_LORA_PROMPT, WEIGHT_DECAY)
         if self.teacher is not None:
-            ema_update(self.teacher, self.student, cfg.ema_alpha)
+            ema_update(self.teacher, self.student, EMA_ALPHA)
         elif self.teacher_sbct is not None:
             u = self.teacher_sbct.u
-            u.data = cfg.ema_alpha * u.data + (1.0 - cfg.ema_alpha) * self.sbct.u.data
+            u.data = EMA_ALPHA * u.data + (1.0 - EMA_ALPHA) * self.sbct.u.data
         self.records.append(breakdown)
         return s_out, breakdown, None
 
@@ -186,8 +186,8 @@ class AdaptEngine:
             return pred, metrics.score_row(i, pred, sample.gt_mask)
 
         breakdown = None
-        for step in range(self.cfg.steps_per_image if self.spec.objective else 0):
-            s_out, breakdown, reason = self._train_step(sample, step)
+        for _ in range(self.cfg.steps_per_image if self.spec.objective else 0):
+            s_out, breakdown, reason = self._train_step(sample)
             if reason is not None:
                 self._record_skip(i, reason)
                 pred = s_out.m_high.data > 0.0
@@ -225,8 +225,7 @@ class AdaptEngine:
         netpbm.write_ppm(out / f"composite_{index:05d}.ppm", composite)
 
 
-def adapt_stream(model: SegModel, samples, config: AdaptConfig, out_dir,
-                 dump_sbct_dir=None, extra_run_info: dict | None = None) -> dict:
+def adapt_stream(model: SegModel, samples, config: AdaptConfig, out_dir, dump_sbct_dir=None) -> dict:
     """Run a whole stream in order, writing predictions, metrics.csv,
     the adapted checkpoint, and a replayable run.json."""
     out = Path(out_dir)
@@ -259,8 +258,6 @@ def adapt_stream(model: SegModel, samples, config: AdaptConfig, out_dir,
     if engine.sbct is not None:
         run_info["sbct_u"] = engine.sbct.u.data.tolist()
         run_info["sbct_heights"] = engine.sbct.heights_array().tolist()
-    if extra_run_info:
-        run_info.update(extra_run_info)
     (out / "run.json").write_text(json.dumps(run_info, indent=2) + "\n")
     return {"rows": rows, "summary": summary, "engine": engine, "out_dir": str(out)}
 
@@ -278,8 +275,7 @@ def load_stream(manifest_path, pad: int = 2):
     return out
 
 
-def run_calibration(model: SegModel, samples, seed: int, modes=("off", "sbct-only"),
-                    base_config: AdaptConfig | None = None) -> dict:
+def run_calibration(model: SegModel, samples, seed: int, modes=("off", "sbct-only")) -> dict:
     """Correlation between the model's IoU estimate and true IoU with the
     model frozen, input curves either fixed (off) or adapted (sbct-only)."""
     report = {"seed": seed, "n": len(samples), "modes": {}}
@@ -287,9 +283,7 @@ def run_calibration(model: SegModel, samples, seed: int, modes=("off", "sbct-onl
         if mode not in ("off", "sbct-only"):
             raise ValueError(f"run_calibration: invalid mode {mode!r}")
         strategy = "none" if mode == "off" else "sbct-only"
-        cfg_kwargs = asdict(base_config) if base_config else {}
-        cfg_kwargs.update(strategy=strategy, seed=seed)
-        engine = AdaptEngine(model, AdaptConfig(**cfg_kwargs))
+        engine = AdaptEngine(model, AdaptConfig(strategy=strategy, seed=seed))
         rows = [engine.process(s)[1] for s in samples]
         pairs = [(r.pred_iou, r.true_iou) for r in rows
                  if math.isfinite(r.pred_iou) and math.isfinite(r.true_iou)]

@@ -161,9 +161,7 @@ def _cmd_adapt(args) -> int:
     def body():
         model = load_checkpoint(args.checkpoint)
         samples = adapt.load_stream(args.manifest)
-        result = adapt.adapt_stream(model, samples, cfg, out, dump_sbct_dir=args.dump_sbct,
-                                    extra_run_info={"checkpoint": str(args.checkpoint),
-                                                    "manifest": str(args.manifest)})
+        result = adapt.adapt_stream(model, samples, cfg, out, dump_sbct_dir=args.dump_sbct)
         print(metrics.format_summary(result["summary"]))
         return {"summary": result["summary"]}
 

@@ -12,7 +12,7 @@ forward pass bit-identical.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import isqrt
 
 import numpy as np
@@ -94,68 +94,50 @@ _UP_POS = ("00", "01", "10", "11")
 
 
 def _init_params(config: ModelConfig, rng: np.random.Generator) -> dict:
-    d = config.embed_dim
+    """Every layer declared once; the order of declarations is the order of
+    the RNG draws, so it fixes the weights of every seed."""
+    d, hidden = config.embed_dim, config.mlp_hidden
     params = {}
 
-    def w(name, out_dim, in_dim):
-        params[name] = Tensor(rng.normal(0.0, in_dim**-0.5, (out_dim, in_dim)))
+    def linear(prefix, out_dim, in_dim, tag=""):
+        params[f"{prefix}.w{tag}"] = Tensor(rng.normal(0.0, in_dim**-0.5, (out_dim, in_dim)))
+        params[f"{prefix}.b{tag}"] = Tensor(np.zeros(out_dim))
 
-    def b(name, dim):
-        params[name] = Tensor(np.zeros(dim))
+    def mlp(prefix, in_dim, out_dim, hidden_dim):
+        linear(prefix, hidden_dim, in_dim, "1")
+        linear(prefix, out_dim, hidden_dim, "2")
 
     def ln(prefix):
         params[f"{prefix}.g"] = Tensor(np.ones(d))
         params[f"{prefix}.b"] = Tensor(np.zeros(d))
 
-    w("patch_embed.w", d, config.patch_dim)
-    b("patch_embed.b", d)
+    linear("patch_embed", d, config.patch_dim)
     params["pos_embed"] = Tensor(0.02 * rng.normal(size=(config.tokens, d)))
     for i in range(config.encoder_blocks):
         ln(f"enc{i}.ln1")
         for proj in "qkvo":
-            w(f"enc{i}.attn.{proj}.w", d, d)
-            b(f"enc{i}.attn.{proj}.b", d)
+            linear(f"enc{i}.attn.{proj}", d, d)
         ln(f"enc{i}.ln2")
-        w(f"enc{i}.mlp.w1", config.mlp_hidden, d)
-        b(f"enc{i}.mlp.b1", config.mlp_hidden)
-        w(f"enc{i}.mlp.w2", d, config.mlp_hidden)
-        b(f"enc{i}.mlp.b2", d)
+        mlp(f"enc{i}.mlp", d, d, hidden)
     ln("ln_f")
 
     params["prompt.freq"] = Tensor(rng.normal(size=(PROMPT_FREQS, 4)))
-    w("prompt.mlp.w1", config.mlp_hidden, 2 * PROMPT_FREQS)
-    b("prompt.mlp.b1", config.mlp_hidden)
-    w("prompt.mlp.w2", d, config.mlp_hidden)
-    b("prompt.mlp.b2", d)
+    mlp("prompt.mlp", 2 * PROMPT_FREQS, d, hidden)
 
     for proj in "qkvo":
-        w(f"dec.attn.{proj}.w", d, d)
-        b(f"dec.attn.{proj}.b", d)
-    w("dec.mlp.w1", config.mlp_hidden, d)
-    b("dec.mlp.b1", config.mlp_hidden)
-    w("dec.mlp.w2", d, config.mlp_hidden)
-    b("dec.mlp.b2", d)
-    w("dec.maskw.w", d, d)
-    b("dec.maskw.b", d)
-    w("dec.tok.w", d, d)
-    b("dec.tok.b", d)
+        linear(f"dec.attn.{proj}", d, d)
+    mlp("dec.mlp", d, d, hidden)
+    linear("dec.maskw", d, d)
+    linear("dec.tok", d, d)
 
     d0, d1, d2 = config.head_dims
     for pos in _UP_POS:
-        w(f"dec.up0.{pos}.w", d0, d)
-        b(f"dec.up0.{pos}.b", d0)
-        w(f"dec.up1.{pos}.w", d1, d0)
-        b(f"dec.up1.{pos}.b", d1)
-        w(f"dec.up2.{pos}.w", d2, d1)
-        b(f"dec.up2.{pos}.b", d2)
-    w("dec.lowhead.w", 1, d0)
-    b("dec.lowhead.b", 1)
-    w("dec.highhead.w", 1, d2)
-    b("dec.highhead.b", 1)
-    w("dec.iou.w1", config.iou_hidden, d)
-    b("dec.iou.b1", config.iou_hidden)
-    w("dec.iou.w2", 1, config.iou_hidden)
-    b("dec.iou.b2", 1)
+        linear(f"dec.up0.{pos}", d0, d)
+        linear(f"dec.up1.{pos}", d1, d0)
+        linear(f"dec.up2.{pos}", d2, d1)
+    linear("dec.lowhead", 1, d0)
+    linear("dec.highhead", 1, d2)
+    mlp("dec.iou", d, 1, config.iou_hidden)
     return params
 
 
@@ -216,9 +198,11 @@ class SegModel:
 
     # -- building blocks -------------------------------------------------
 
-    def _linear(self, x: Tensor, prefix: str) -> Tensor:
+    def _linear(self, x: Tensor, prefix: str, tag: str = "") -> Tensor:
+        """x @ W^T + b with the ``{prefix}.w{tag}``/``.b{tag}`` weights, plus
+        the LoRA term when the layer carries adapters."""
         p = self.params
-        out = x @ p[f"{prefix}.w"].transpose() + p[f"{prefix}.b"]
+        out = x @ p[f"{prefix}.w{tag}"].transpose() + p[f"{prefix}.b{tag}"]
         a = p.get(f"{prefix}.lora_a")
         if a is not None:
             bb = p[f"{prefix}.lora_b"]
@@ -232,9 +216,7 @@ class SegModel:
         return xc / ((var + 1e-5) ** 0.5) * self.params[f"{prefix}.g"] + self.params[f"{prefix}.b"]
 
     def _mlp(self, x: Tensor, prefix: str) -> Tensor:
-        p = self.params
-        h = (x @ p[f"{prefix}.w1"].transpose() + p[f"{prefix}.b1"]).gelu()
-        return h @ p[f"{prefix}.w2"].transpose() + p[f"{prefix}.b2"]
+        return self._linear(self._linear(x, prefix, "1").gelu(), prefix, "2")
 
     def _attention(self, q_in: Tensor, kv_in: Tensor, prefix: str) -> Tensor:
         h = self.config.attention_heads
@@ -274,8 +256,7 @@ class SegModel:
             raise ValueError(f"encode: expected (3, {s}, {s}), got {x.shape}")
         g, p = self.config.grid, self.config.patch_size
         patches = x.reshape(3, g, p, g, p).transpose(1, 3, 2, 4, 0).reshape(g * g, self.config.patch_dim)
-        tok = patches @ self.params["patch_embed.w"].transpose() + self.params["patch_embed.b"]
-        tok = tok + self.params["pos_embed"]
+        tok = self._linear(patches, "patch_embed") + self.params["pos_embed"]
         for i in range(self.config.encoder_blocks):
             y = self._layer_norm(tok, f"enc{i}.ln1")
             tok = tok + self._attention(y, y, f"enc{i}.attn")
@@ -293,8 +274,7 @@ class SegModel:
         nb = Tensor((coords / s).reshape(1, 4))
         f = nb @ self.params["prompt.freq"].transpose() * (2.0 * np.pi)
         feats = concat([f.sin(), f.cos()], axis=1)
-        h = (feats @ self.params["prompt.mlp.w1"].transpose() + self.params["prompt.mlp.b1"]).gelu()
-        return h @ self.params["prompt.mlp.w2"].transpose() + self.params["prompt.mlp.b2"]
+        return self._mlp(feats, "prompt.mlp")
 
     def decode(self, z: Tensor, e: Tensor) -> SegOutputs:
         d = self.config.embed_dim
@@ -302,22 +282,17 @@ class SegModel:
             raise ValueError(f"decode: shape mismatch z={z.shape} e={e.shape} for config {self.config}")
         qp = e + self._attention(e, z, "dec.attn")
         qp = qp + self._mlp(qp, "dec.mlp")
-        wm = qp @ self.params["dec.maskw.w"].transpose() + self.params["dec.maskw.b"]
-        u = z @ self.params["dec.tok.w"].transpose() + self.params["dec.tok.b"]
-        gated = u * wm
+        wm = self._linear(qp, "dec.maskw")
+        gated = self._linear(z, "dec.tok") * wm
         g = self.config.grid
         f16 = self._upstage(gated.reshape(g, g, d), "dec.up0")
         low = self.config.lowres_size
-        m_low = (f16.reshape(low * low, -1) @ self.params["dec.lowhead.w"].transpose()
-                 + self.params["dec.lowhead.b"]).reshape(low, low)
+        m_low = self._linear(f16.reshape(low * low, -1), "dec.lowhead").reshape(low, low)
         f32 = self._upstage(f16, "dec.up1")
         f64 = self._upstage(f32, "dec.up2")
         high = self.config.highres_size
-        m_high = (f64.reshape(high * high, -1) @ self.params["dec.highhead.w"].transpose()
-                  + self.params["dec.highhead.b"]).reshape(high, high)
-        ih = (qp @ self.params["dec.iou.w1"].transpose() + self.params["dec.iou.b1"]).gelu()
-        s_iou = ((ih @ self.params["dec.iou.w2"].transpose() + self.params["dec.iou.b2"])
-                 .reshape(()).sigmoid())
+        m_high = self._linear(f64.reshape(high * high, -1), "dec.highhead").reshape(high, high)
+        s_iou = self._mlp(qp, "dec.iou").reshape(()).sigmoid()
         return SegOutputs(m_low=m_low, m_high=m_high, s_iou=s_iou, z=z)
 
     def forward(self, image, box: BoxPrompt) -> SegOutputs:
@@ -336,36 +311,31 @@ def tokens_to_grid(z: Tensor) -> Tensor:
 # -- checkpoint format ------------------------------------------------------
 #
 # magic "TTAF", u32 version, u32 field count, then (u32 name_len, name,
-# u32 value) config fields, u32 tensor count, then per tensor sorted by
-# name: u32 name_len, name, u32 rank, u32 dims..., little-endian f64 data.
+# u32 value) header fields sorted by name: every ModelConfig field
+# (lora_targets as a q=1 k=2 v=4 o=8 bitmask) plus has_lora. Then u32
+# tensor count, then per tensor sorted by name: u32 name_len, name, u32
+# rank, u32 dims..., little-endian f64 data.
 
 MAGIC = b"TTAF"
 VERSION = 1
 
 
 def _config_fields(model: SegModel) -> dict:
-    c = model.config
-    return {
-        "attention_heads": c.attention_heads,
-        "embed_dim": c.embed_dim,
-        "encoder_blocks": c.encoder_blocks,
-        "has_lora": int(model.has_lora),
-        "highres_size": c.highres_size,
-        "image_size": c.image_size,
-        "lora_rank": c.lora_rank,
-        "lora_targets": sum(_LORA_BITS[t] for t in c.lora_targets),
-        "lowres_size": c.lowres_size,
-        "patch_size": c.patch_size,
-    }
+    """The header: every ModelConfig field (lora_targets as a bitmask) plus
+    has_lora."""
+    header = {f.name: getattr(model.config, f.name) for f in fields(ModelConfig)}
+    header["lora_targets"] = sum(_LORA_BITS[t] for t in header["lora_targets"])
+    header["has_lora"] = int(model.has_lora)
+    return header
 
 
 def save_checkpoint(model: SegModel, path):
     out = [MAGIC, struct.pack("<I", VERSION)]
-    fields = _config_fields(model)
-    out.append(struct.pack("<I", len(fields)))
-    for name in sorted(fields):
+    header = _config_fields(model)
+    out.append(struct.pack("<I", len(header)))
+    for name in sorted(header):
         enc = name.encode()
-        out.append(struct.pack("<I", len(enc)) + enc + struct.pack("<I", fields[name]))
+        out.append(struct.pack("<I", len(enc)) + enc + struct.pack("<I", header[name]))
     names = sorted(model.params)
     out.append(struct.pack("<I", len(names)))
     for name in names:
@@ -408,24 +378,19 @@ def load_checkpoint(path) -> SegModel:
     version = reader.u32()
     if version != VERSION:
         raise ValueError(f"checkpoint {path}: unsupported version {version}")
-    fields = {}
+    header = {}
     for _ in range(reader.u32()):
         key = reader.name()
-        fields[key] = reader.u32()
-    targets = "".join(t for t, bit in _LORA_BITS.items() if fields["lora_targets"] & bit)
-    config = ModelConfig(
-        image_size=fields["image_size"],
-        patch_size=fields["patch_size"],
-        embed_dim=fields["embed_dim"],
-        encoder_blocks=fields["encoder_blocks"],
-        attention_heads=fields["attention_heads"],
-        lowres_size=fields["lowres_size"],
-        highres_size=fields["highres_size"],
-        lora_rank=fields["lora_rank"],
-        lora_targets=targets,
-    )
+        header[key] = reader.u32()
+    names = {f.name for f in fields(ModelConfig)} | {"has_lora"}
+    if header.keys() != names:
+        raise ValueError(f"checkpoint {path}: header fields missing {sorted(names - header.keys())}, "
+                         f"unexpected {sorted(header.keys() - names)}")
+    has_lora = header.pop("has_lora")
+    header["lora_targets"] = "".join(t for t, bit in _LORA_BITS.items() if header["lora_targets"] & bit)
+    config = ModelConfig(**header)
     model = SegModel.build(config, seed=0)
-    if fields["has_lora"]:
+    if has_lora:
         model.attach_lora(seed=0)
     expected = {name: p.data.shape for name, p in model.params.items()}
     seen = set()

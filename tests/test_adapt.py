@@ -27,8 +27,6 @@ FROZEN_IS = lambda name: not (".lora_" in name or name.startswith("prompt."))  #
 def test_config_validation():
     with pytest.raises(ValueError, match="strategy"):
         AdaptConfig(strategy="cotta")
-    with pytest.raises(ValueError, match="ema_alpha"):
-        AdaptConfig(ema_alpha=1.0)
     with pytest.raises(ValueError, match="positive"):
         AdaptConfig(steps_per_image=0)
 
@@ -143,6 +141,18 @@ def test_lambda_logged_in_unit_interval_and_first_is_one(base_model):
         assert 0.0 < row.lambda_dpc <= 1.0
 
 
+@pytest.mark.parametrize("strategy", ["sam-tta", "sbct-only"])
+def test_lambda_in_unit_interval_with_two_steps_per_image(base_model, strategy):
+    # a second step whose confidence beats the stream maximum must raise
+    # the maximum before it is weighted, or its lambda exceeds 1
+    engine = AdaptEngine(base_model, AdaptConfig(strategy=strategy, seed=0, steps_per_image=2))
+    for s in target_stream(6):
+        engine.process(s)
+    assert not engine.skipped and len(engine.records) == 12
+    for bd in engine.records:
+        assert 0.0 < bd.lambda_dpc <= 1.0, bd.lambda_dpc
+
+
 def test_running_max_nondecreasing_across_stream(base_model):
     engine = AdaptEngine(base_model, AdaptConfig(strategy="sam-tta", seed=3))
     values = []
@@ -222,7 +232,8 @@ def test_tent_updates_only_model_group(base_model):
 
 def test_tent_zero_gradient_keeps_parameters(base_model, monkeypatch):
     # weight decay off: with L2 decay even a zero loss-gradient moves weights
-    engine = AdaptEngine(base_model, AdaptConfig(strategy="tent", seed=7, weight_decay=0.0))
+    monkeypatch.setattr("ttaseg.adapt.WEIGHT_DECAY", 0.0)
+    engine = AdaptEngine(base_model, AdaptConfig(strategy="tent", seed=7))
     monkeypatch.setattr("ttaseg.adapt.losses.entropy_loss", lambda m: (m * 0.0).sum())
     sample = target_stream(1)[0]
     before = {n: p.data.copy() for n, p in engine.student.params.items()}

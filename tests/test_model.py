@@ -1,9 +1,16 @@
+import struct
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdcheck import assert_grads_close, numeric_grad
 from ttaseg import sbct
-from ttaseg.model import (ModelConfig, SegModel, load_checkpoint, lora_param_names,
+from ttaseg.model import (ModelConfig, SegModel, _config_fields, load_checkpoint, lora_param_names,
                           save_checkpoint, tokens_to_grid)
 from ttaseg.synthdata import BoxPrompt
 from ttaseg.tensor import Tensor, no_grad
@@ -234,6 +241,90 @@ def test_checkpoint_rejects_truncation(model16, tmp_path):
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(ValueError, match="truncated"):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_truncation_in_every_section(model16, tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model16, path)
+    blob = path.read_bytes()
+    # every cut through the magic, version, header, tensor count and the
+    # first tensor's name, rank and dims, one into its payload, and one in
+    # the last tensor's payload
+    first = sorted(model16.params)[0]
+    first_payload = blob.index(first.encode()) + len(first) + 4 + 4 * model16.params[first].data.ndim
+    for n in [*range(first_payload + 2), len(blob) - 1]:
+        path.write_bytes(blob[:n])
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+
+def test_checkpoint_rejects_unsupported_version(model16, tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model16, path)
+    blob = bytearray(path.read_bytes())
+    blob[4:8] = struct.pack("<I", 2)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="unsupported version 2"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("drop, add, message", [
+    ("lowres_size", {}, r"missing \['lowres_size'\], unexpected \[\]"),
+    ("has_lora", {}, r"missing \['has_lora'\]"),
+    (None, {"dropout": 1}, r"missing \[\], unexpected \['dropout'\]"),
+], ids=["missing", "missing-has-lora", "extra"])
+def test_checkpoint_rejects_missing_or_extra_header_field(model16, tmp_path, monkeypatch, drop, add, message):
+    header = {k: v for k, v in _config_fields(model16).items() if k != drop}
+    header.update(add)
+    monkeypatch.setattr("ttaseg.model._config_fields", lambda model: header)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model16, path)
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_unknown_tensor(model16, tmp_path):
+    path = tmp_path / "m.ckpt"
+    bad = model16.clone()
+    bad.params["enc0.attn.q.extra"] = Tensor(np.zeros(3))
+    save_checkpoint(bad, path)
+    with pytest.raises(ValueError, match="unexpected tensor 'enc0.attn.q.extra'"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_missing_tensor(model16, tmp_path):
+    path = tmp_path / "m.ckpt"
+    bad = model16.clone()
+    del bad.params["dec.iou.b2"]
+    save_checkpoint(bad, path)
+    with pytest.raises(ValueError, match=r"missing tensors \['dec.iou.b2'\]"):
+        load_checkpoint(path)
+
+
+@given(grid=st.integers(1, 3), heads=st.sampled_from([1, 2, 4]), head_dim=st.integers(1, 4),
+       blocks=st.integers(0, 2), rank=st.integers(1, 4),
+       targets=st.lists(st.sampled_from("qkvo"), min_size=1, max_size=4, unique=True),
+       lora=st.booleans(), seed=st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_checkpoint_save_load_save_bytes_identical(grid, heads, head_dim, blocks, rank, targets, lora, seed):
+    config = ModelConfig(image_size=8 * grid, patch_size=8, embed_dim=heads * head_dim,
+                         encoder_blocks=blocks, attention_heads=heads, lowres_size=2 * grid,
+                         highres_size=8 * grid, lora_rank=rank, lora_targets="".join(targets))
+    model = SegModel.build(config, seed=seed)
+    if lora:
+        model.attach_lora(seed=seed)
+        rng = np.random.default_rng(seed)
+        for name in lora_param_names(config):
+            model.params[name].data = rng.normal(size=model.params[name].shape)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.ckpt", Path(tmp) / "b.ckpt"
+        save_checkpoint(model, first)
+        loaded = load_checkpoint(first)
+        save_checkpoint(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+    # the targets come back in the bitmask's canonical q, k, v, o order
+    assert loaded.config == replace(config, lora_targets="".join(t for t in "qkvo" if t in targets))
+    assert loaded.has_lora == (lora and blocks > 0)
 
 
 def test_config16_shapes(model16):
