@@ -6,7 +6,9 @@ mri-like target stream and a colour source stream with every strategy at
 K = 1 and at K = 2 with the optimizer reset per image, and runs the
 calibration experiment on a ct-like stream. Each line is ``<key> <value>``:
 the checkpoint digest, one ``metrics.csv`` + ``adapted.ckpt`` digest per
-run, and the calibration delta. Run it in two checkouts and diff the
+run, the calibration delta, and the ``--dump-sbct`` output (every curve CSV,
+every composite) of a sam-tta K = 1 run on each stream written to files and
+read back, as the CLI reads it. Run it in two checkouts and diff the
 outputs to show that a change keeps behaviour byte for byte:
 
     python3 scripts/digest_outputs.py > digests.txt
@@ -23,7 +25,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ttaseg import pretrain, synthdata  # noqa: E402
-from ttaseg.adapt import AdaptConfig, adapt_stream, run_calibration  # noqa: E402
+from ttaseg.adapt import AdaptConfig, adapt_stream, load_stream, run_calibration  # noqa: E402
 from ttaseg.model import load_checkpoint  # noqa: E402
 
 STRATEGIES = ("none", "tent", "mean-teacher", "sam-tta", "sbct-only")
@@ -57,6 +59,15 @@ def main():
                     print(f"{stream_name}/{strategy}/{k_name} {_sha(out / 'metrics.csv', out / 'adapted.ckpt')}")
         report = run_calibration(model, synthdata.gen_target(21, 8, "ct-like"), seed=0)
         print(f"calibration.delta {report['delta']!r}")
+        for stream_name, samples in streams.items():
+            # images read from 8-bit files, not held in memory
+            manifest = synthdata.write_dataset(samples, work / f"{stream_name}-files")
+            out = work / f"{stream_name}-dump"
+            adapt_stream(model, load_stream(manifest), AdaptConfig(strategy="sam-tta", seed=ADAPT_SEED),
+                         out, dump_sbct_dir=out / "sbct")
+            for kind, pattern in (("csv", "sbct_*.csv"), ("composite", "composite_*.ppm")):
+                files = sorted((out / "sbct").glob(pattern))
+                print(f"{stream_name}/sam-tta/K1/dump-sbct.{kind} {_sha(*files)}")
 
 
 if __name__ == "__main__":

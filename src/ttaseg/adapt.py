@@ -6,18 +6,20 @@ the combined objective, take one Adam step per parameter group (curve
 scalars at their own rate; adapters and prompt encoder with weight
 decay), EMA the teacher toward the student, and save a fresh post-update
 forward as the prediction. State (parameters, optimizer moments, the
-confidence running max) carries across the stream; an image whose
-forward or loss is not finite, or whose confidence is too low to weight
-the consistency term, is skipped and logged rather than aborting.
+confidence running max) carries across the stream. An image with a bad
+pixel, a non-finite forward, loss or gradient, or a confidence too low to
+weight the consistency term is skipped and logged before any update. The
+teacher is a frozen copy of the student whose trainable tensors (or curves)
+alone follow the student by EMA.
 
 Every strategy is one row of ``STRATEGY_TABLE``:
 
     strategy      curves  LoRA+prompt  teacher                           objective
     none          -       -            -                                 -
     tent          -       yes          -                                 entropy
-    mean-teacher  -       yes          EMA weights, student's input      l_dpc
-    sam-tta       yes     yes          EMA weights, student's input      l_icm + lambda*l_dpc + l_ifc
-    sbct-only     yes     -            EMA curves, frozen student        l_icm + lambda*l_dpc
+    mean-teacher  -       yes          EMA LoRA+prompt, student's input  l_dpc
+    sam-tta       yes     yes          EMA LoRA+prompt, student's input  l_icm + lambda*l_dpc + l_ifc
+    sbct-only     yes     -            EMA curves, frozen weights        l_icm + lambda*l_dpc
 
 ``none`` is frozen inference; ``sbct-only`` freezes every model weight
 and is the curve-only calibration mode.
@@ -47,7 +49,7 @@ class Strategy:
 
     curves: bool  # trains the 12 curve scalars
     adapters: bool  # trains LoRA adapters and the prompt encoder
-    teacher: str | None  # "weights" (EMA copy of the student) or "curves" (EMA curves)
+    teacher: str | None  # "weights" (EMA of the trainable tensors) or "curves" (EMA curves)
     objective: tuple  # losses.total_tta_loss terms; empty for frozen inference
 
 
@@ -88,13 +90,18 @@ def replicate_channels(image: np.ndarray) -> np.ndarray:
     return np.stack([image] * 3) if image.ndim == 2 else image
 
 
-def ema_update(teacher: SegModel, student: SegModel, alpha: float):
-    """teacher <- alpha * teacher + (1 - alpha) * student, every parameter."""
-    if teacher.params.keys() != student.params.keys():
+def ema_update(teacher: dict, student: dict, alpha: float):
+    """teacher <- alpha * teacher + (1 - alpha) * student, over named tensors."""
+    if teacher.keys() != student.keys():
         raise ValueError("ema_update: parameter tree mismatch")
-    for name in sorted(teacher.params):
-        t = teacher.params[name]
-        t.data = alpha * t.data + (1.0 - alpha) * student.params[name].data
+    for name in sorted(teacher):
+        t = teacher[name]
+        t.data = alpha * t.data + (1.0 - alpha) * student[name].data
+
+
+def _bad_pixels(image: np.ndarray) -> bool:
+    """A pixel is not finite or lies outside [0, 1]."""
+    return not (np.isfinite(image).all() and image.min() >= 0.0 and image.max() <= 1.0)
 
 
 class AdaptEngine:
@@ -110,12 +117,19 @@ class AdaptEngine:
             self.student.attach_lora(seed=[config.seed, 31])
             self.student.set_trainable(lambda name: ".lora_" in name or name.startswith("prompt."))
         self.sbct = sbct.init_identity() if spec.curves else None
-        self.teacher = self.teacher_sbct = None
-        if spec.teacher == "weights":
+        # the two optimizer groups; either may be empty
+        self.curves = {"sbct.u": self.sbct.u} if spec.curves else {}
+        self.adapters = self.student.trainable()
+        self.teacher = self.teacher_sbct = self.ema_pair = None
+        if spec.teacher:
             self.teacher = self.student.clone()
             self.teacher.set_trainable(lambda name: False)
-        elif spec.teacher == "curves":
-            self.teacher_sbct = sbct.SbctParams(Tensor(self.sbct.u.data))
+            # (teacher tensors, student tensors) that the EMA averages
+            if spec.teacher == "weights":
+                self.ema_pair = ({n: self.teacher.params[n] for n in self.adapters}, self.adapters)
+            else:
+                self.teacher_sbct = sbct.SbctParams(Tensor(self.sbct.u.data))
+                self.ema_pair = ({"sbct.u": self.teacher_sbct.u}, self.curves)
 
         self.opt_sbct = AdamState()
         self.opt_model = AdamState()
@@ -131,11 +145,9 @@ class AdaptEngine:
 
     def _teacher_forward(self, image: np.ndarray, x_student: Tensor, box):
         with no_grad():
-            if self.teacher_sbct is not None:
-                # the teacher's weights would equal the frozen student's
-                return self.student.forward(sbct.transform(image, self.teacher_sbct), box)
-            # same remapped input as the student, under stop-gradient
-            return self.teacher.forward(x_student.detach(), box)
+            # the curves teacher remaps through its own curves
+            x = x_student.detach() if self.teacher_sbct is None else sbct.transform(image, self.teacher_sbct)
+            return self.teacher.forward(x, box)
 
     def _train_step(self, sample: synthdata.StreamSample):
         """One update; returns the student's outputs, the loss breakdown,
@@ -158,16 +170,17 @@ class AdaptEngine:
             return s_out, None, "non-finite loss"
 
         total.backward()
-        if self.sbct is not None:
-            adam_step({"sbct.u": self.sbct.u}, self.opt_sbct, LR_SBCT)
-        model_trainable = self.student.trainable()
-        if model_trainable:
-            adam_step(model_trainable, self.opt_model, LR_LORA_PROMPT, WEIGHT_DECAY)
-        if self.teacher is not None:
-            ema_update(self.teacher, self.student, EMA_ALPHA)
-        elif self.teacher_sbct is not None:
-            u = self.teacher_sbct.u
-            u.data = EMA_ALPHA * u.data + (1.0 - EMA_ALPHA) * self.sbct.u.data
+        trained = [*self.curves.values(), *self.adapters.values()]
+        if not all(p.grad is None or np.isfinite(p.grad).all() for p in trained):
+            for p in trained:
+                p.grad = None
+            return s_out, None, "non-finite gradient"
+        if self.curves:
+            adam_step(self.curves, self.opt_sbct, LR_SBCT)
+        if self.adapters:
+            adam_step(self.adapters, self.opt_model, LR_LORA_PROMPT, WEIGHT_DECAY)
+        if self.ema_pair is not None:
+            ema_update(*self.ema_pair, EMA_ALPHA)
         self.records.append(breakdown)
         return s_out, breakdown, None
 
@@ -179,9 +192,11 @@ class AdaptEngine:
             self.opt_sbct = AdamState()
             self.opt_model = AdamState()
 
-        if sample.box is None:
-            # empty-mask sentinel: no prompt can be formed, nothing to adapt
-            self._record_skip(i, "empty ground-truth mask, no prompt")
+        # checked before any forward, the same way for every strategy
+        reason = ("empty ground-truth mask, no prompt" if sample.box is None
+                  else "pixel outside [0, 1] or not finite" if _bad_pixels(sample.image) else None)
+        if reason is not None:
+            self._record_skip(i, reason)
             pred = np.zeros(sample.gt_mask.shape, dtype=bool)
             return pred, metrics.score_row(i, pred, sample.gt_mask)
 
@@ -211,8 +226,9 @@ class AdaptEngine:
         log.warning("image %d: adaptation skipped (%s)", index, reason)
 
     def dump_sbct(self, index: int, image: np.ndarray, out_dir):
-        """Diagnostic export: curve samples as CSV plus the remapped
-        pseudo-color composite (LUT path, not differentiable)."""
+        """Diagnostic export: curve samples as CSV plus the image remapped
+        through the curves as a pseudo-color composite. An image with bad
+        pixels gets no composite."""
         if self.sbct is None:
             return
         out = Path(out_dir)
@@ -221,8 +237,10 @@ class AdaptEngine:
         lines = ["t,c1,c2,c3"]
         lines += [",".join(repr(v) for v in row) for row in samples]
         (out / f"sbct_{index:05d}.csv").write_text("\n".join(lines) + "\n")
-        composite = sbct.apply_lut(image, sbct.curve_lut(self.sbct))
-        netpbm.write_ppm(out / f"composite_{index:05d}.ppm", composite)
+        if not _bad_pixels(image):
+            with no_grad():
+                composite = sbct.transform(image, self.sbct).data
+            netpbm.write_ppm(out / f"composite_{index:05d}.ppm", composite)
 
 
 def adapt_stream(model: SegModel, samples, config: AdaptConfig, out_dir, dump_sbct_dir=None) -> dict:

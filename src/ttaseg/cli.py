@@ -250,9 +250,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int)
     p.add_argument("--n-train", dest="n_train", type=int)
     p.add_argument("--n-val", dest="n_val", type=int)
-    p.add_argument("--dice-weight", dest="dice_weight", type=float)
-    p.add_argument("--bce-weight", dest="bce_weight", type=float)
-    p.add_argument("--iou-weight", dest="iou_weight", type=float)
 
     p = sub.add_parser("adapt", help="run a test-time adaptation stream")
     p.add_argument("--checkpoint", required=True)

@@ -381,11 +381,16 @@ def load_checkpoint(path) -> SegModel:
     header = {}
     for _ in range(reader.u32()):
         key = reader.name()
+        if key in header:
+            raise ValueError(f"checkpoint {path}: header field {key!r} stored twice")
         header[key] = reader.u32()
     names = {f.name for f in fields(ModelConfig)} | {"has_lora"}
     if header.keys() != names:
         raise ValueError(f"checkpoint {path}: header fields missing {sorted(names - header.keys())}, "
                          f"unexpected {sorted(header.keys() - names)}")
+    mask, full = header["lora_targets"], sum(_LORA_BITS.values())
+    if not 1 <= mask <= full:
+        raise ValueError(f"checkpoint {path}: header field 'lora_targets' bitmask {mask} outside 1-{full}")
     has_lora = header.pop("has_lora")
     header["lora_targets"] = "".join(t for t, bit in _LORA_BITS.items() if header["lora_targets"] & bit)
     config = ModelConfig(**header)

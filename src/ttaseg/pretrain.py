@@ -16,7 +16,7 @@ import numpy as np
 
 from . import adapt, losses, metrics, synthdata
 from .model import ModelConfig, SegModel, save_checkpoint
-from .tensor import AdamState, Tensor, adam_step, no_grad
+from .tensor import AdamState, Tensor, adam_step
 
 # fixed offset separating the held-out validation stream from training data
 VAL_SEED_OFFSET = 500_009
@@ -29,15 +29,10 @@ class PretrainConfig:
     seed: int = 0
     n_train: int = 2000
     n_val: int = 200
-    dice_weight: float = 1.0
-    bce_weight: float = 1.0
-    iou_weight: float = 1.0
 
     def __post_init__(self):
         if self.n_val <= 0:
             raise ValueError("PretrainConfig: n_val must be positive")
-        if min(self.dice_weight, self.bce_weight, self.iou_weight) <= 0:
-            raise ValueError("PretrainConfig: loss weights must be positive")
 
 
 def downsample_mask(gt: np.ndarray, factor: int) -> np.ndarray:
@@ -47,29 +42,23 @@ def downsample_mask(gt: np.ndarray, factor: int) -> np.ndarray:
 
 
 def sample_loss(model: SegModel, sample: synthdata.StreamSample, cfg: PretrainConfig):
+    """The training loss of one sample, unweighted; ``cfg`` sets no term."""
     out = model.forward(sample.image, sample.box)
     gt = sample.gt_mask
     factor = model.config.highres_size // model.config.lowres_size
     gt_low = downsample_mask(gt, factor)
-    loss = (cfg.dice_weight * losses.soft_dice(out.m_high.sigmoid(), Tensor(gt.astype(np.float64)))
-            + cfg.bce_weight * losses.bce_with_logits(out.m_high, gt)
-            + cfg.dice_weight * losses.soft_dice(out.m_low.sigmoid(), Tensor(gt_low))
-            + cfg.iou_weight * losses.iou_head_loss(out.s_iou, out.m_high, gt))
+    loss = (losses.soft_dice(out.m_high.sigmoid(), Tensor(gt.astype(np.float64)))
+            + losses.bce_with_logits(out.m_high, gt)
+            + losses.soft_dice(out.m_low.sigmoid(), Tensor(gt_low))
+            + losses.iou_head_loss(out.s_iou, out.m_high, gt))
     return loss, out
 
 
 def evaluate(model: SegModel, samples) -> dict:
-    """Frozen inference over samples: mean Dice and IoU-head calibration.
-
-    Grayscale inputs go through plain channel replication (the baseline
-    convention for a three-channel model)."""
-    rows = []
-    for i, s in enumerate(samples):
-        with no_grad():
-            out = model.forward(adapt.replicate_channels(s.image), s.box)
-        pred = out.m_high.data > 0.0
-        s_val = float(out.s_iou.data)
-        rows.append(metrics.score_row(i, pred, s.gt_mask, s_val, 1.0 - s_val, 0.0, 0.0, 0.0))
+    """Frozen inference over samples through the adaptation engine's
+    ``none`` strategy: mean Dice and IoU-head calibration."""
+    engine = adapt.AdaptEngine(model, adapt.AdaptConfig(strategy="none"))
+    rows = [engine.process(s)[1] for s in samples]
     sentinel = metrics.hd95_sentinel(samples[0].gt_mask.shape)
     summary = metrics.summarize(rows, sentinel)
     summary["rows"] = rows

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _stable_sigmoid
+from .tensor import Tensor, _stable_sigmoid, no_grad
 
 # Control-point x coordinates: fixed, never trained.
 X_NODES = (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
@@ -98,24 +98,7 @@ def transform(x: np.ndarray, params: SbctParams) -> Tensor:
 def curve_samples(params: SbctParams, n: int = 65) -> np.ndarray:
     """Dense curve samples for diagnostics: columns (t, c1, c2, c3)."""
     t = np.linspace(0.0, 1.0, n)
-    values = params.heights_array() @ _bernstein_rows(t)  # (3, n)
+    with no_grad():
+        values = transform_gray(t.reshape(1, n), params).data.reshape(N_CHANNELS, n)
     return np.column_stack([t, values.T])
 
-
-def curve_lut(params: SbctParams, bins: int = 256) -> np.ndarray:
-    """Quantized lookup table (3, bins) for the image-export path.
-
-    Not differentiable; the adaptation path always evaluates the curve
-    analytically per pixel.
-    """
-    t = np.arange(bins, dtype=np.float64) / (bins - 1)
-    return params.heights_array() @ _bernstein_rows(t)
-
-
-def apply_lut(x: np.ndarray, lut: np.ndarray) -> np.ndarray:
-    """Apply a curve LUT to a gray (HxW) or color (3xHxW) image."""
-    bins = lut.shape[1]
-    idx = np.clip(np.floor(x * (bins - 1) + 0.5).astype(int), 0, bins - 1)
-    if x.ndim == 2:
-        return np.stack([lut[c][idx] for c in range(N_CHANNELS)])
-    return np.stack([lut[c][idx[c]] for c in range(N_CHANNELS)])

@@ -192,6 +192,15 @@ def test_c05_freeze_and_ema_contracts(accept_model, tmp_path):
     grad_total = sum(0.0 if p.grad is None else float(np.abs(p.grad).sum())
                      for p in engine.teacher.params.values())
     assert grad_total == 0.0
+    # EMA averages only the adapters and the prompt encoder: every other
+    # teacher tensor is the checkpoint's, bit for bit
+    teacher_frozen = 0
+    for name, p in engine.teacher.params.items():
+        if ".lora_" in name or name.startswith("prompt."):
+            continue
+        assert np.array_equal(p.data, reference.params[name].data), f"teacher {name} changed"
+        teacher_frozen += 1
+    assert teacher_frozen == frozen
 
     teacher = accept_model.clone()
     student = accept_model.clone()
@@ -199,7 +208,7 @@ def test_c05_freeze_and_ema_contracts(accept_model, tmp_path):
     student.params["pos_embed"].data[:] = 0.0
     n, alpha = 100, 0.95
     for _ in range(n):
-        ema_update(teacher, student, alpha)
+        ema_update(teacher.params, student.params, alpha)
     assert np.max(np.abs(teacher.params["pos_embed"].data - alpha**n)) <= n * 1e-12
     print(f"criterion 5: {frozen} frozen tensors bit-identical after 100 images; "
           f"EMA decay within {n}e-12 of alpha^n; teacher grad sum 0")

@@ -49,7 +49,7 @@ def test_ema_single_value(base_model):
     student = base_model.clone()
     teacher.params["pos_embed"].data[:] = 1.0
     student.params["pos_embed"].data[:] = 0.0
-    ema_update(teacher, student, 0.95)
+    ema_update(teacher.params, student.params, 0.95)
     assert np.allclose(teacher.params["pos_embed"].data, 0.95, atol=0)
 
 
@@ -60,7 +60,7 @@ def test_ema_geometric_decay_per_step_accuracy(base_model):
     student.params["pos_embed"].data[:] = 0.0
     alpha, n = 0.95, 100
     for _ in range(n):
-        ema_update(teacher, student, alpha)
+        ema_update(teacher.params, student.params, alpha)
     predicted = alpha**n
     assert np.max(np.abs(teacher.params["pos_embed"].data - predicted)) <= n * 1e-12
 
@@ -69,7 +69,7 @@ def test_ema_alpha_zero_copies_student(base_model):
     teacher = base_model.clone()
     student = base_model.clone()
     student.params["pos_embed"].data[:] = 7.0
-    ema_update(teacher, student, 0.0)
+    ema_update(teacher.params, student.params, 0.0)
     assert np.array_equal(teacher.params["pos_embed"].data, student.params["pos_embed"].data)
 
 
@@ -78,7 +78,7 @@ def test_ema_tree_mismatch_rejected(base_model):
     student = base_model.clone()
     student.attach_lora(seed=0)
     with pytest.raises(ValueError, match="tree mismatch"):
-        ema_update(teacher, student, 0.95)
+        ema_update(teacher.params, student.params, 0.95)
 
 
 # -- strategies ------------------------------------------------------------------
@@ -281,6 +281,18 @@ def test_sbct_only_keeps_every_model_weight(base_model):
     assert not np.array_equal(engine.sbct.u.data, engine.teacher_sbct.u.data)
 
 
+def test_sbct_only_teacher_keeps_every_model_weight(base_model):
+    # the curves teacher averages only the curves: its weights stay the checkpoint's
+    engine = AdaptEngine(base_model, AdaptConfig(strategy="sbct-only", seed=8))
+    for s in target_stream(5):
+        engine.process(s)
+    assert not engine.skipped
+    assert engine.teacher.params.keys() == base_model.params.keys()
+    for name, p in engine.teacher.params.items():
+        assert np.array_equal(p.data, base_model.params[name].data), name
+    assert not np.array_equal(engine.teacher_sbct.u.data, sbct.init_identity().u.data)
+
+
 def test_color_stream_uses_per_channel_curves(base_model):
     samples = synthdata.gen_source(3, 3)
     engine = AdaptEngine(base_model, AdaptConfig(strategy="sam-tta", seed=9))
@@ -311,6 +323,80 @@ def test_nan_image_skips_update_and_stream_continues(base_model, caplog):
     # stream continues normally
     _, row3 = engine.process(samples[2])
     assert math.isfinite(row3.dice)
+
+
+def _state(engine) -> dict:
+    """Every value the update of one image may change."""
+    state = {f"student.{n}": p.data.copy() for n, p in engine.student.params.items()}
+    if engine.teacher is not None:
+        state.update({f"teacher.{n}": p.data.copy() for n, p in engine.teacher.params.items()})
+    for owner, params in (("sbct", engine.sbct), ("teacher_sbct", engine.teacher_sbct)):
+        if params is not None:
+            state[owner] = params.u.data.copy()
+    for group, opt in (("opt_sbct", engine.opt_sbct), ("opt_model", engine.opt_model)):
+        state[f"{group}.step"] = np.array(opt.step)
+        for moment in ("m", "v"):
+            for n, value in getattr(opt, moment).items():
+                state[f"{group}.{moment}.{n}"] = value.copy()
+    return state
+
+
+def _assert_same_state(a: dict, b: dict):
+    assert a.keys() == b.keys()
+    for key in a:
+        assert np.array_equal(a[key], b[key]), key
+
+
+@pytest.mark.parametrize("value", [1.0000001, np.nan], ids=["above-one", "nan"])
+@pytest.mark.parametrize("strategy", ["none", "tent", "mean-teacher", "sam-tta", "sbct-only"])
+def test_bad_pixel_is_a_logged_skip_for_every_strategy(base_model, strategy, value, caplog):
+    samples = target_stream(3)
+    image = samples[1].image.copy()
+    image[10, 20] = value
+    bad = StreamSample(image, samples[1].gt_mask, samples[1].box)
+    engine = AdaptEngine(base_model, AdaptConfig(strategy=strategy, seed=13))
+    engine.process(samples[0])
+    before = _state(engine)
+    with caplog.at_level("WARNING", logger="ttaseg.adapt"):
+        pred, row = engine.process(bad)
+    assert [s["index"] for s in engine.skipped] == [1]
+    assert "pixel" in engine.skipped[0]["reason"] and "skipped" in caplog.text
+    _assert_same_state(before, _state(engine))
+    # the empty-mask sentinel's row: all background, nothing logged
+    assert pred.shape == bad.gt_mask.shape and not pred.any()
+    for column in ("pred_iou", "l_icm", "l_dpc", "l_ifc", "lambda_dpc"):
+        assert math.isnan(getattr(row, column)), column
+    _, row3 = engine.process(samples[2])
+    assert math.isfinite(row3.dice) and len(engine.skipped) == 1
+
+
+@pytest.mark.parametrize("strategy", ["tent", "mean-teacher", "sam-tta", "sbct-only"])
+def test_non_finite_gradient_skips_before_adam_and_ema(base_model, strategy, monkeypatch, caplog):
+    samples = target_stream(3)
+    engine = AdaptEngine(base_model, AdaptConfig(strategy=strategy, seed=14))
+    engine.process(samples[0])
+    before = _state(engine)
+    objective = losses.total_tta_loss
+
+    def nan_gradient(student, *args):
+        # value 0, gradient 0 * inf = nan on every tensor behind the confidence
+        total, breakdown = objective(student, *args)
+        return total + (student.s_iou * 0.0) ** 0.5, breakdown
+
+    monkeypatch.setattr("ttaseg.adapt.losses.total_tta_loss", nan_gradient)
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            caplog.at_level("WARNING", logger="ttaseg.adapt"):
+        engine.process(samples[1])
+    assert engine.skipped == [{"index": 1, "reason": "non-finite gradient"}]
+    assert "skipped" in caplog.text and len(engine.records) == 1
+    _assert_same_state(before, _state(engine))
+    trained = [*engine.student.trainable().values()] + ([engine.sbct.u] if engine.sbct else [])
+    assert all(p.grad is None for p in trained)
+    monkeypatch.undo()
+    _, row = engine.process(samples[2])
+    assert math.isfinite(row.l_icm) and len(engine.records) == 2
+    for name, p in _state(engine).items():
+        assert np.isfinite(p).all(), name
 
 
 @pytest.mark.parametrize("strategy", ["sam-tta", "sbct-only"])
@@ -366,6 +452,18 @@ def test_adapt_stream_writes_all_outputs(base_model, tmp_path):
     assert (out / "sbct" / "sbct_00003.csv").exists()
     assert (out / "sbct" / "composite_00003.ppm").exists()
     assert len(result["rows"]) == 4
+
+
+@pytest.mark.parametrize("value", [1.0000001, np.nan], ids=["above-one", "nan"])
+def test_dump_sbct_writes_no_composite_of_a_bad_image(base_model, tmp_path, value):
+    samples = target_stream(3)
+    samples[1].image[0, 0] = value
+    out = tmp_path / "run"
+    adapt_stream(base_model, samples, AdaptConfig(strategy="sam-tta", seed=0), out,
+                 dump_sbct_dir=out / "sbct")
+    written = sorted(p.name for p in (out / "sbct").iterdir())
+    assert written == ["composite_00000.ppm", "composite_00002.ppm",
+                       "sbct_00000.csv", "sbct_00001.csv", "sbct_00002.csv"]
 
 
 def test_adapt_stream_deterministic(base_model, tmp_path):

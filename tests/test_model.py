@@ -283,6 +283,39 @@ def test_checkpoint_rejects_missing_or_extra_header_field(model16, tmp_path, mon
         load_checkpoint(path)
 
 
+def _hand_built_checkpoint(model, header_items) -> bytes:
+    """Checkpoint bytes with the header records exactly as given."""
+    out = [b"TTAF", struct.pack("<I", 1), struct.pack("<I", len(header_items))]
+    for name, value in header_items:
+        out.append(struct.pack("<I", len(name)) + name.encode() + struct.pack("<I", value))
+    out.append(struct.pack("<I", len(model.params)))
+    for name in sorted(model.params):
+        data = model.params[name].data
+        out.append(struct.pack("<I", len(name)) + name.encode())
+        out.append(struct.pack("<I", data.ndim) + struct.pack(f"<{data.ndim}I", *data.shape))
+        out.append(data.astype("<f8").tobytes())
+    return b"".join(out)
+
+
+def test_checkpoint_rejects_duplicated_header_field(model16, tmp_path):
+    header = sorted(_config_fields(model16).items())
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model16, path)
+    assert _hand_built_checkpoint(model16, header) == path.read_bytes()
+    path.write_bytes(_hand_built_checkpoint(model16, header + [("image_size", 16)]))
+    with pytest.raises(ValueError, match="header field 'image_size' stored twice"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("mask", [0, 16, 69])
+def test_checkpoint_rejects_lora_targets_outside_bitmask(model16, tmp_path, mask):
+    header = dict(_config_fields(model16), lora_targets=mask)
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(_hand_built_checkpoint(model16, sorted(header.items())))
+    with pytest.raises(ValueError, match=f"header field 'lora_targets' bitmask {mask} outside 1-15"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_unknown_tensor(model16, tmp_path):
     path = tmp_path / "m.ckpt"
     bad = model16.clone()

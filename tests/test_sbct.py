@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdcheck import assert_grads_close, numeric_grad
-from ttaseg.sbct import (SbctParams, apply_lut, curve_lut, curve_samples, init_identity,
-                         transform, transform_color, transform_gray)
-from ttaseg.tensor import Tensor
+from ttaseg import netpbm
+from ttaseg.adapt import AdaptConfig, AdaptEngine
+from ttaseg.model import ModelConfig, SegModel
+from ttaseg.sbct import (SbctParams, curve_samples, init_identity, transform, transform_color,
+                         transform_gray)
+from ttaseg.tensor import Tensor, no_grad
 
 
 def bezier_scalar(t, p):
@@ -188,14 +191,22 @@ def test_curve_samples_layout():
     assert rows[0, 0] == 0.0 and rows[-1, 0] == 1.0
 
 
-def test_lut_matches_analytic_curve_at_bin_centers():
-    params = random_params(27)
-    lut = curve_lut(params, bins=256)
-    t = np.arange(256) / 255.0
-    heights = params.heights_array()
-    for c in range(3):
-        assert np.allclose(lut[c], bezier_scalar(t, heights[c]), atol=1e-12)
-    x = np.array([[0.0, 0.5, 1.0]])
-    out = apply_lut(x, lut)
-    assert out.shape == (3, 1, 3)
-    assert np.allclose(out[:, 0, 0], heights[:, 0], atol=1e-12)
+def test_dump_sbct_composite_is_the_curve_transform(tmp_path):
+    """The exported composite is sbct.transform of the image, and on an
+    8-bit image (every gray level once) it has the bytes of a 256-bin LUT."""
+    engine = AdaptEngine(SegModel.build(ModelConfig(), seed=0), AdaptConfig(strategy="sbct-only"))
+    engine.sbct.u.data = random_params(27).u.data
+    image = np.arange(256, dtype=np.float64).reshape(16, 16) / 255.0
+    engine.dump_sbct(0, image, tmp_path)
+    composite = (tmp_path / "composite_00000.ppm").read_bytes()
+
+    with no_grad():
+        netpbm.write_ppm(tmp_path / "transform.ppm", transform(image, engine.sbct).data)
+    assert composite == (tmp_path / "transform.ppm").read_bytes()
+
+    t = np.arange(256, dtype=np.float64) / 255.0
+    basis = np.stack([(1.0 - t) ** 3, 3.0 * t * (1.0 - t) ** 2, 3.0 * t**2 * (1.0 - t), t**3])
+    lut = engine.sbct.heights_array() @ basis  # (3, 256)
+    levels = np.floor(image * 255.0 + 0.5).astype(int)
+    netpbm.write_ppm(tmp_path / "lut.ppm", np.stack([lut[c][levels] for c in range(3)]))
+    assert composite == (tmp_path / "lut.ppm").read_bytes()
