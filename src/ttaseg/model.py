@@ -18,7 +18,7 @@ from math import isqrt
 import numpy as np
 
 from .synthdata import BoxPrompt
-from .tensor import Tensor, as_tensor, concat, softmax
+from .tensor import Tensor, as_tensor, attention, concat, gelu_parts, gelu_slope, layer_norm, linear
 
 PROMPT_FREQS = 8
 _LORA_BITS = {"q": 1, "k": 2, "v": 4, "o": 8}
@@ -202,49 +202,58 @@ class SegModel:
         """x @ W^T + b with the ``{prefix}.w{tag}``/``.b{tag}`` weights, plus
         the LoRA term when the layer carries adapters."""
         p = self.params
-        out = x @ p[f"{prefix}.w{tag}"].transpose() + p[f"{prefix}.b{tag}"]
         a = p.get(f"{prefix}.lora_a")
-        if a is not None:
-            bb = p[f"{prefix}.lora_b"]
-            out = out + (x @ a.transpose() @ bb.transpose()) * (1.0 / self.config.lora_rank)
-        return out
+        lora = None if a is None else (a, p[f"{prefix}.lora_b"])
+        return linear(x, p[f"{prefix}.w{tag}"], p[f"{prefix}.b{tag}"], lora, 1.0 / self.config.lora_rank)
 
     def _layer_norm(self, x: Tensor, prefix: str) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        xc = x - mu
-        var = (xc * xc).mean(axis=-1, keepdims=True)
-        return xc / ((var + 1e-5) ** 0.5) * self.params[f"{prefix}.g"] + self.params[f"{prefix}.b"]
+        return layer_norm(x, self.params[f"{prefix}.g"], self.params[f"{prefix}.b"])
 
     def _mlp(self, x: Tensor, prefix: str) -> Tensor:
         return self._linear(self._linear(x, prefix, "1").gelu(), prefix, "2")
 
     def _attention(self, q_in: Tensor, kv_in: Tensor, prefix: str) -> Tensor:
-        h = self.config.attention_heads
-        hd = self.config.embed_dim // h
-        nq = q_in.shape[0]
-        nk = kv_in.shape[0]
+        q = self._linear(q_in, f"{prefix}.q")
+        k = self._linear(kv_in, f"{prefix}.k")
+        v = self._linear(kv_in, f"{prefix}.v")
+        return self._linear(attention(q, k, v, self.config.attention_heads), f"{prefix}.o")
 
-        def split(t, n):
-            return t.reshape(n, h, hd).transpose(1, 0, 2)
+    def _upstage(self, f: Tensor, prefix: str) -> Tensor:
+        """One node: each (hh, ww) cell becomes a 2x2 block of GELU(linear)
+        outputs, one weight pair per block position, giving (2hh, 2ww, dout).
 
-        q = split(self._linear(q_in, f"{prefix}.q"), nq)
-        k = split(self._linear(kv_in, f"{prefix}.k"), nk)
-        v = split(self._linear(kv_in, f"{prefix}.v"), nk)
-        att = softmax(q @ k.transpose(0, 2, 1) * (hd**-0.5), axis=-1)
-        out = (att @ v).transpose(1, 0, 2).reshape(nq, self.config.embed_dim)
-        return self._linear(out, f"{prefix}.o")
-
-    def _upstage(self, f: Tensor, prefix: str):
+        The four projections stay four matmuls; stacking their weights into
+        one matmul would change the bits. The backward replays the composed
+        graph: each position's chain in reverse creation order (11, 10, 01,
+        00), so the input's gradient sums the positions in that order.
+        """
         hh, ww, din = f.shape
-        flat = f.reshape(hh * ww, din)
-        parts = []
-        dout = None
-        for pos in _UP_POS:
-            part = self._linear(flat, f"{prefix}.{pos}").gelu()
-            dout = part.shape[1]
-            parts.append(part.reshape(hh, ww, 1, dout))
-        merged = concat(parts, axis=2)
-        return merged.reshape(hh, ww, 2, 2, dout).transpose(0, 2, 1, 3, 4).reshape(2 * hh, 2 * ww, dout)
+        flat = f.data.reshape(hh * ww, din)
+        layers = [(self.params[f"{prefix}.{pos}.w"], self.params[f"{prefix}.{pos}.b"]) for pos in _UP_POS]
+        pre = np.stack([flat @ w.data.transpose() + b.data for w, b in layers])
+        act, t = gelu_parts(pre)
+        dout = pre.shape[2]
+        out = act.reshape(2, 2, hh, ww, dout).transpose(2, 0, 3, 1, 4).reshape(2 * hh, 2 * ww, dout)
+
+        def bw(g):
+            slope = gelu_slope(pre, t)
+            per_pos = g.reshape(hh, 2, ww, 2, dout).transpose(1, 3, 0, 2, 4).reshape(4, hh * ww, dout)
+            gflat = None
+            for i in reversed(range(4)):
+                w, b = layers[i]
+                gpre = per_pos[i] * slope[i]
+                if b.requires_grad:
+                    b._accum(gpre.sum(axis=0))
+                if f.requires_grad:
+                    contribution = gpre @ w.data
+                    gflat = contribution if gflat is None else gflat + contribution
+                if w.requires_grad:
+                    w._accum((flat.T @ gpre).transpose())
+            if f.requires_grad:
+                f._accum(gflat.reshape(hh, ww, din))
+
+        parents = (f,) + tuple(p for layer in layers for p in layer)
+        return Tensor._node(out, parents, bw, "upstage")
 
     # -- public forward ----------------------------------------------------
 

@@ -30,15 +30,24 @@ def _read_token(stream: io.BufferedReader) -> bytes:
         tok += ch
 
 
+def _header_field(stream: io.BufferedReader, name: str, path) -> int:
+    """The next header token as a positive decimal integer."""
+    token = _read_token(stream)
+    if not token.isdigit() or int(token) <= 0:
+        raise ValueError(f"netpbm: {name} must be a positive integer, got {token.decode(errors='replace')!r} "
+                         f"in {path}")
+    return int(token)
+
+
 def read_pnm(path) -> np.ndarray:
     """Read a P5/P6 file into float64 in [0, 1]: (H, W) gray or (3, H, W) color."""
     with open(path, "rb") as f:
         magic = f.read(2)
         if magic not in (b"P5", b"P6"):
             raise ValueError(f"netpbm: bad magic {magic!r} in {path}")
-        width = int(_read_token(f))
-        height = int(_read_token(f))
-        maxval = int(_read_token(f))
+        width = _header_field(f, "width", path)
+        height = _header_field(f, "height", path)
+        maxval = _header_field(f, "maxval", path)
         if maxval != 255:
             raise ValueError(f"netpbm: only maxval 255 supported, got {maxval} in {path}")
         channels = 1 if magic == b"P5" else 3

@@ -41,8 +41,8 @@ def downsample_mask(gt: np.ndarray, factor: int) -> np.ndarray:
     return gt.astype(np.float64).reshape(h // factor, factor, w // factor, factor).mean(axis=(1, 3))
 
 
-def sample_loss(model: SegModel, sample: synthdata.StreamSample, cfg: PretrainConfig):
-    """The training loss of one sample, unweighted; ``cfg`` sets no term."""
+def sample_loss(model: SegModel, sample: synthdata.StreamSample):
+    """The training loss of one sample, unweighted."""
     out = model.forward(sample.image, sample.box)
     gt = sample.gt_mask
     factor = model.config.highres_size // model.config.lowres_size
@@ -90,7 +90,7 @@ def pretrain(cfg: PretrainConfig, out_path, model_config: ModelConfig | None = N
     for epoch in range(cfg.epochs):
         order = np.random.default_rng([cfg.seed, 37, epoch]).permutation(len(train))
         for idx in order:
-            loss, _ = sample_loss(model, train[idx], cfg)
+            loss, _ = sample_loss(model, train[idx])
             if not math.isfinite(float(loss.data)):
                 raise RuntimeError(f"pretrain: non-finite loss at epoch {epoch}, sample {int(idx)}")
             loss.backward()

@@ -60,7 +60,8 @@ def _bernstein_rows(t: np.ndarray) -> np.ndarray:
 
 
 def _check_unit_range(x: np.ndarray, what: str):
-    if x.size and (x.min() < 0.0 or x.max() > 1.0):
+    # written so that NaN, for which every comparison is false, fails it
+    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
         raise ValueError(f"{what}: values must lie in [0, 1], got range [{x.min():.6g}, {x.max():.6g}]")
 
 

@@ -22,6 +22,9 @@ __all__ = [
     "DomainError",
     "as_tensor",
     "concat",
+    "linear",
+    "layer_norm",
+    "attention",
     "softmax",
     "log_softmax",
     "no_grad",
@@ -53,6 +56,19 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows; both branches are exact where selected
     s = 1.0 / (1.0 + np.exp(-np.abs(x)))
     return np.where(x >= 0, s, 1.0 - s)
+
+
+_GELU_C = 0.7978845608028654  # sqrt(2/pi)
+
+
+def gelu_parts(x: np.ndarray):
+    """tanh-form GELU of ``x`` and the tanh term its slope reuses."""
+    t = np.tanh(_GELU_C * (x + 0.044715 * x * x * x))
+    return 0.5 * x * (1.0 + t), t
+
+
+def gelu_slope(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -289,15 +305,10 @@ class Tensor:
     def gelu(self):
         """tanh-form GELU as one node; smooth everywhere."""
         a = self
-        x = a.data
-        c = 0.7978845608028654  # sqrt(2/pi)
-        inner = c * (x + 0.044715 * x * x * x)
-        t = np.tanh(inner)
-        out = 0.5 * x * (1.0 + t)
+        out, t = gelu_parts(a.data)
 
         def bw(g):
-            d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * 0.044715 * x * x)
-            a._accum(g * d)
+            a._accum(g * gelu_slope(a.data, t))
 
         return Tensor._node(out, (a,), bw, "gelu")
 
@@ -427,6 +438,114 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
                 p._accum(piece)
 
     return Tensor._node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bw, "concat")
+
+
+# -- fused nodes ---------------------------------------------------------
+#
+# Each replaces a composite subgraph with one tape node. The forward and
+# the backward run the numpy operations of the composed graph in its order
+# (views included, since a reduction's or a matmul's bits can depend on the
+# memory layout of its operands), so results and gradients are bit-identical
+# to building the same expression from the elementary ops above.
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor, lora=None, scale: float = 1.0) -> Tensor:
+    """``x @ wᵀ + b``, plus ``(x @ aᵀ @ bbᵀ) * scale`` when ``lora = (a, bb)``."""
+    xd = x.data
+    out = xd @ w.data.transpose() + b.data
+    parents = (x, w, b)
+    if lora is not None:
+        a, bb = lora
+        low = xd @ a.data.transpose()
+        out = out + (low @ bb.data.transpose()) * scale
+        parents += (a, bb)
+
+    def bw(g):
+        # the LoRA term was added last, so its gradients go in first
+        if lora is not None:
+            gl = g * scale
+            if x.requires_grad or a.requires_grad:
+                glow = gl @ bb.data
+                if x.requires_grad:
+                    x._accum(glow @ a.data)
+                if a.requires_grad:
+                    a._accum((np.swapaxes(xd, -1, -2) @ glow).transpose())
+            if bb.requires_grad:
+                bb._accum((np.swapaxes(low, -1, -2) @ gl).transpose())
+        if b.requires_grad:
+            b._accum(_unbroadcast(g, b.data.shape))
+        if x.requires_grad:
+            x._accum(g @ w.data)
+        if w.requires_grad:
+            w._accum((np.swapaxes(xd, -1, -2) @ g).transpose())
+
+    return Tensor._node(out, parents, bw, "linear")
+
+
+def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
+    """``(x - mean) / sqrt(var + 1e-5) * g + b`` over the last axis."""
+    xd = x.data
+    inv_n = 1.0 / float(xd.shape[-1])
+    xc = xd - xd.sum(axis=-1, keepdims=True) * inv_n
+    root = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) * inv_n + 1e-5)
+    xn = xc / root
+
+    def bw(grad):
+        if b.requires_grad:
+            b._accum(_unbroadcast(grad, b.data.shape))
+        if g.requires_grad:
+            g._accum(_unbroadcast(grad * xn, g.data.shape))
+        if not x.requires_grad:
+            return
+        gxn = grad * g.data
+        gxc = gxn / root
+        groot = _unbroadcast(-gxn * xc / (root * root), root.shape)
+        gvar = groot * (0.5 / root) * inv_n
+        # the squared deviation feeds xc twice, so it lands twice
+        gsq = np.broadcast_to(gvar, xd.shape) * xc
+        gxc += gsq
+        gxc += gsq
+        # the centred path reaches x before the mean path
+        x._accum(gxc)
+        x._accum(np.broadcast_to(_unbroadcast(-gxc, root.shape) * inv_n, xd.shape))
+
+    return Tensor._node(xn * g.data + b.data, (x, g, b), bw, "layer_norm")
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head ``softmax(q kᵀ / sqrt(hd)) v`` on (n, heads * hd) rows:
+    the head split, the scaled scores, the softmax and the head merge."""
+    nq, d = q.data.shape
+    nk = k.data.shape[0]
+    hd = d // heads
+    qh = q.data.reshape(nq, heads, hd).transpose(1, 0, 2)
+    kt = k.data.reshape(nk, heads, hd).transpose(1, 0, 2).transpose(0, 2, 1)
+    vh = v.data.reshape(nk, heads, hd).transpose(1, 0, 2)
+    scale = hd**-0.5
+    s = qh @ kt * scale
+    e = np.exp(s - np.max(s, axis=-1, keepdims=True))
+    den = e.sum(axis=-1, keepdims=True)
+    att = e / den
+    out = (att @ vh).transpose(1, 0, 2).reshape(nq, d)
+
+    def bw(g):
+        gav = g.reshape(nq, heads, hd).transpose(1, 0, 2)
+        if v.requires_grad:
+            gvh = np.swapaxes(att, -1, -2) @ gav
+            v._accum(gvh.transpose(1, 0, 2).reshape(nk, d))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        gatt = gav @ np.swapaxes(vh, -1, -2)
+        ge = gatt / den
+        ge += np.broadcast_to(_unbroadcast(-gatt * e / (den * den), den.shape), e.shape)
+        gs = ge * e * scale
+        if k.requires_grad:
+            gkt = np.swapaxes(qh, -1, -2) @ gs
+            k._accum(gkt.transpose(0, 2, 1).transpose(1, 0, 2).reshape(nk, d))
+        if q.requires_grad:
+            q._accum((gs @ np.swapaxes(kt, -1, -2)).transpose(1, 0, 2).reshape(nq, d))
+
+    return Tensor._node(out, (q, k, v), bw, "attention")
 
 
 def log_softmax(x: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:

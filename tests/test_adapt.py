@@ -436,6 +436,13 @@ def test_unreadable_sample_aborts_with_index(tmp_path):
         load_stream(manifest)
 
 
+def test_missing_sample_file_aborts_with_index(tmp_path):
+    manifest = synthdata.write_dataset(target_stream(3), tmp_path)
+    (tmp_path / "mask_00002.pgm").unlink()
+    with pytest.raises(RuntimeError, match="stream sample 2 unreadable"):
+        load_stream(manifest)
+
+
 # -- streaming and state ------------------------------------------------------------
 
 

@@ -55,6 +55,17 @@ def test_rejects_wrong_maxval(tmp_path):
         read_pnm(path)
 
 
+@pytest.mark.parametrize("field", ["width", "height", "maxval"])
+@pytest.mark.parametrize("bad", ["ab", "0", "-2"], ids=["non-numeric", "zero", "negative"])
+def test_rejects_bad_header_field_by_name(tmp_path, field, bad):
+    header = {"width": "2", "height": "1", "maxval": "255"}
+    header[field] = bad
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(f"P5\n{header['width']} {header['height']}\n{header['maxval']}\n".encode() + bytes(2))
+    with pytest.raises(ValueError, match=f"{field} must be a positive integer.*bad\\.pgm"):
+        read_pnm(path)
+
+
 def test_rejects_truncated_payload(tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P5\n4 4\n255\n\x00\x00")

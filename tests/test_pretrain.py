@@ -97,7 +97,7 @@ def test_iou_target_is_detached_from_mask_heads(model16):
 def test_divergence_aborts_with_epoch(tmp_path, monkeypatch):
     from ttaseg import pretrain as pt
 
-    def bad_loss(model, sample, cfg):
+    def bad_loss(model, sample):
         from ttaseg.tensor import Tensor
         return Tensor(float("nan")), None
 
@@ -119,7 +119,7 @@ def test_sample_loss_components_positive(model16):
     )
     for p in model16.params.values():
         p.requires_grad = True
-    loss, out = sample_loss(model16, sample, TINY)
+    loss, out = sample_loss(model16, sample)
     assert float(loss.data) > 0.0
     loss.backward()
     assert model16.params["patch_embed.w"].grad is not None

@@ -179,6 +179,20 @@ def test_transform_rejects_unnormalized_input():
         transform_color(np.zeros((2, 4, 4)), init_identity())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_transform_gray_rejects_non_finite_input(bad):
+    with pytest.raises(ValueError, match="\\[0, 1\\]"):
+        transform_gray(np.array([[bad, 0.5]]), init_identity())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_transform_color_rejects_non_finite_input(bad):
+    x = np.full((3, 2, 2), 0.5)
+    x[1, 0, 1] = bad
+    with pytest.raises(ValueError, match="\\[0, 1\\]"):
+        transform_color(x, init_identity())
+
+
 def test_transform_dispatch():
     params = init_identity()
     assert transform(np.zeros((4, 4)), params).shape == (3, 4, 4)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdcheck import assert_grads_close, numeric_grad
-from ttaseg.tensor import (AdamState, DomainError, Tensor, adam_step, as_tensor, concat,
-                           log_softmax, no_grad, softmax)
+from ttaseg.tensor import (AdamState, DomainError, Tensor, adam_step, as_tensor, attention, concat,
+                           layer_norm, linear, log_softmax, no_grad, softmax)
 
 
 def test_sigmoid_at_zero():
@@ -247,6 +247,172 @@ def test_reduction_and_shape_gradients(seed):
 
     expr().backward()
     assert_grads_close(x.grad, numeric_grad(f, x), rtol=1e-6, atol=1e-8, label="shape-ops")
+
+
+# -- fused nodes -------------------------------------------------------------
+#
+# Each fused node against the same expression built from elementary ops in
+# the test (bit for bit, output and every input gradient) and against
+# central finite differences. Widths are not powers of two, so the scale
+# factors 1/n and hd^-1/2 round and a reordered product shows.
+
+
+def _composed_linear(x, w, b, lora=None, scale=1.0):
+    out = x @ w.transpose() + b
+    if lora is not None:
+        a, bb = lora
+        out = out + (x @ a.transpose() @ bb.transpose()) * scale
+    return out
+
+
+def _composed_layer_norm(x, g, b):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    return xc / ((var + 1e-5) ** 0.5) * g + b
+
+
+def _composed_attention(q, k, v, heads):
+    nq, d = q.shape
+    nk = k.shape[0]
+    hd = d // heads
+    qh = q.reshape(nq, heads, hd).transpose(1, 0, 2)
+    kh = k.reshape(nk, heads, hd).transpose(1, 0, 2)
+    vh = v.reshape(nk, heads, hd).transpose(1, 0, 2)
+    att = softmax(qh @ kh.transpose(0, 2, 1) * (hd**-0.5), axis=-1)
+    return (att @ vh).transpose(1, 0, 2).reshape(nq, d)
+
+
+def _composed_upstage(model, f, prefix):
+    hh, ww, din = f.shape
+    flat = f.reshape(hh * ww, din)
+    parts = []
+    for pos in ("00", "01", "10", "11"):
+        part = (flat @ model.params[f"{prefix}.{pos}.w"].transpose() + model.params[f"{prefix}.{pos}.b"]).gelu()
+        parts.append(part.reshape(hh, ww, 1, part.shape[1]))
+    dout = parts[0].shape[3]
+    merged = concat(parts, axis=2)
+    return merged.reshape(hh, ww, 2, 2, dout).transpose(0, 2, 1, 3, 4).reshape(2 * hh, 2 * ww, dout)
+
+
+def _leaves(rng, shapes, trainable):
+    return [Tensor(rng.normal(size=shape), requires_grad=i in trainable) for i, shape in enumerate(shapes)]
+
+
+def _weighted_loss(out, first, seed):
+    """A fixed random weighting of the output, plus a second use of the
+    first input made after the node, so that input's gradient already holds
+    a value when the node's backward adds to it."""
+    rng = np.random.default_rng(seed)
+    return (out * Tensor(rng.normal(size=out.shape))).sum() + (first * Tensor(rng.normal(size=first.shape))).sum()
+
+
+def _output_and_grads(build, leaves):
+    for t in leaves:
+        t.grad = None
+    out = build()
+    _weighted_loss(out, leaves[0], 99).backward()
+    return out.data.copy(), [None if t.grad is None else t.grad.copy() for t in leaves]
+
+
+def _assert_bitwise_equal(fused, composed, leaves):
+    out_f, grads_f = _output_and_grads(fused, leaves)
+    out_c, grads_c = _output_and_grads(composed, leaves)
+    assert np.array_equal(out_f, out_c)
+    for i, (gf, gc) in enumerate(zip(grads_f, grads_c)):
+        assert (gf is None) == (gc is None), f"input {i}"
+        assert gf is None or np.array_equal(gf, gc), f"input {i} gradient differs"
+
+
+def _assert_grads_match_finite_differences(build, leaves):
+    def f():
+        return float(_weighted_loss(build(), leaves[0], 99).data)
+
+    for t in leaves:
+        t.grad = None
+    _weighted_loss(build(), leaves[0], 99).backward()
+    for i, t in enumerate(leaves):
+        if t.requires_grad:
+            assert_grads_close(t.grad, numeric_grad(f, t), rtol=1e-6, atol=1e-8, label=f"input {i}")
+        else:
+            assert t.grad is None
+
+
+# (x, w, b, a, bb): which of them require a gradient
+_LINEAR_CASES = {
+    "all": {0, 1, 2, 3, 4},
+    "frozen-input": {1, 2, 3, 4},
+    "input-only": {0},
+    "adapters-only": {3, 4},
+    "adapter-b-only": {4},
+}
+
+
+def _linear_case(case, with_lora, seed):
+    rng = np.random.default_rng(seed)
+    leaves = _leaves(rng, [(5, 4), (3, 4), (3,), (2, 4), (3, 2)], _LINEAR_CASES[case])
+    x, w, b, a, bb = leaves
+    lora = (a, bb) if with_lora else None
+    if not with_lora:
+        leaves = leaves[:3]
+    return leaves, (lambda: linear(x, w, b, lora, 0.5)), (lambda: _composed_linear(x, w, b, lora, 0.5))
+
+
+@pytest.mark.parametrize("case, with_lora", [(case, with_lora) for case in _LINEAR_CASES for with_lora in (False, True)
+                                              if with_lora or _LINEAR_CASES[case] & {0, 1, 2}])
+def test_linear_is_bitwise_the_composed_graph(case, with_lora):
+    leaves, fused, composed = _linear_case(case, with_lora, 11)
+    _assert_bitwise_equal(fused, composed, leaves)
+
+
+@pytest.mark.parametrize("with_lora", [False, True], ids=["base", "lora"])
+@pytest.mark.parametrize("case", ["all", "frozen-input", "input-only"])
+def test_linear_gradients_match_finite_differences(case, with_lora):
+    leaves, fused, _ = _linear_case(case, with_lora, 12)
+    _assert_grads_match_finite_differences(fused, leaves)
+
+
+@pytest.mark.parametrize("trainable", [{0, 1, 2}, {0}, {1, 2}], ids=["all", "input-only", "affine-only"])
+def test_layer_norm_is_bitwise_the_composed_graph(trainable):
+    leaves = _leaves(np.random.default_rng(13), [(5, 6), (6,), (6,)], trainable)
+    _assert_bitwise_equal(lambda: layer_norm(*leaves), lambda: _composed_layer_norm(*leaves), leaves)
+
+
+def test_layer_norm_gradients_match_finite_differences():
+    leaves = _leaves(np.random.default_rng(14), [(5, 6), (6,), (6,)], {0, 1, 2})
+    _assert_grads_match_finite_differences(lambda: layer_norm(*leaves), leaves)
+
+
+@pytest.mark.parametrize("trainable", [{0, 1, 2}, {2}, {0, 1}, {0}], ids=["all", "values-only", "scores-only", "query-only"])
+@pytest.mark.parametrize("nq", [1, 3])
+def test_attention_is_bitwise_the_composed_graph(nq, trainable):
+    leaves = _leaves(np.random.default_rng(15), [(nq, 6), (5, 6), (5, 6)], trainable)
+    _assert_bitwise_equal(lambda: attention(*leaves, 2), lambda: _composed_attention(*leaves, 2), leaves)
+
+
+def test_attention_gradients_match_finite_differences():
+    leaves = _leaves(np.random.default_rng(16), [(3, 6), (5, 6), (5, 6)], {0, 1, 2})
+    _assert_grads_match_finite_differences(lambda: attention(*leaves, 2), leaves)
+
+
+def _upstage_case(model, train_input, train_weights):
+    prefix = "dec.up0"
+    model.set_trainable(lambda name: train_weights and name.startswith(prefix + "."))
+    f = Tensor(np.random.default_rng(17).normal(size=(2, 2, model.config.embed_dim)), requires_grad=train_input)
+    weights = [model.params[f"{prefix}.{pos}.{kind}"] for pos in ("00", "01", "10", "11") for kind in "wb"]
+    return [f] + weights, (lambda: model._upstage(f, prefix)), (lambda: _composed_upstage(model, f, prefix))
+
+
+@pytest.mark.parametrize("train_input, train_weights", [(True, True), (True, False), (False, True)],
+                         ids=["all", "input-only", "weights-only"])
+def test_upstage_is_bitwise_the_composed_graph(model16, train_input, train_weights):
+    leaves, fused, composed = _upstage_case(model16, train_input, train_weights)
+    _assert_bitwise_equal(fused, composed, leaves)
+
+
+def test_upstage_gradients_match_finite_differences(model16):
+    leaves, fused, _ = _upstage_case(model16, True, True)
+    _assert_grads_match_finite_differences(fused, leaves)
 
 
 # -- optimizer ---------------------------------------------------------------
