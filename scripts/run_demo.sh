@@ -34,5 +34,5 @@ echo
 echo "summaries:"
 for strategy in none mean-teacher tent sam-tta; do
     printf '  %-13s ' "$strategy"
-    python3 -c "import json,sys; d=json.load(open('$ROOT/run-$strategy/run.json')); s=d['summary']; print(f\"dice={s['mean_dice']:.4f} hd95={s['mean_hd95'] if s['mean_hd95'] is not None else 'n/a'}\")"
+    python3 -c "import json,sys; d=json.load(open('$ROOT/run-$strategy/run.json')); s=d['result']['summary']; print(f\"dice={s['mean_dice']:.4f} hd95={s['mean_hd95'] if s['mean_hd95'] is not None else 'n/a'}\")"
 done

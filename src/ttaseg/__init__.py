@@ -6,7 +6,7 @@ from .adapt import AdaptConfig, AdaptEngine, adapt_stream, ema_update, run_calib
 from .model import ModelConfig, SegModel, SegOutputs, load_checkpoint, save_checkpoint
 from .sbct import SbctParams, init_identity, transform_color, transform_gray
 from .synthdata import BoxPrompt, StreamSample, gen_source, gen_target, oracle_box
-from .tensor import AdamState, Tensor, adam_step, no_grad, softmax
+from .tensor import AdamState, Tensor, adam_step, no_grad
 
 __all__ = [
     "AdaptConfig",
@@ -30,7 +30,6 @@ __all__ = [
     "oracle_box",
     "run_calibration",
     "save_checkpoint",
-    "softmax",
     "transform_color",
     "transform_gray",
 ]

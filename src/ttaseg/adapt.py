@@ -114,7 +114,7 @@ class AdaptEngine:
         self.student = base_model.clone()
         self.student.set_trainable(lambda name: False)
         if spec.adapters:
-            self.student.attach_lora(seed=[config.seed, 31])
+            self.student.attach_lora(config.seed)
             self.student.set_trainable(lambda name: ".lora_" in name or name.startswith("prompt."))
         self.sbct = sbct.init_identity() if spec.curves else None
         # the two optimizer groups; either may be empty
@@ -233,7 +233,7 @@ class AdaptEngine:
             return
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        samples = sbct.curve_samples(self.sbct, n=65)
+        samples = sbct.curve_samples(self.sbct)
         lines = ["t,c1,c2,c3"]
         lines += [",".join(repr(v) for v in row) for row in samples]
         (out / f"sbct_{index:05d}.csv").write_text("\n".join(lines) + "\n")
@@ -245,7 +245,9 @@ class AdaptEngine:
 
 def adapt_stream(model: SegModel, samples, config: AdaptConfig, out_dir, dump_sbct_dir=None) -> dict:
     """Run a whole stream in order, writing predictions, metrics.csv,
-    the adapted checkpoint, and a replayable run.json."""
+    the adapted checkpoint, and a replayable run.json. The returned
+    ``record`` is that file's stream record (image count, skips, summary
+    and the final curves) without the config and the wall clock."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     engine = AdaptEngine(model, config)
@@ -266,28 +268,23 @@ def adapt_stream(model: SegModel, samples, config: AdaptConfig, out_dir, dump_sb
     metrics.write_metrics_csv(rows, out / "metrics.csv")
     save_checkpoint(engine.student, out / "adapted.ckpt")
     summary = metrics.summarize(rows, metrics.hd95_sentinel(shape))
-    run_info = {
-        "config": asdict(config),
-        "n_images": len(rows),
-        "skipped": engine.skipped,
-        "summary": summary,
-        "wall_clock_sec": time.time() - t0,
-    }
+    record = {"n_images": len(rows), "skipped": engine.skipped, "summary": summary}
     if engine.sbct is not None:
-        run_info["sbct_u"] = engine.sbct.u.data.tolist()
-        run_info["sbct_heights"] = engine.sbct.heights_array().tolist()
+        record["sbct_u"] = engine.sbct.u.data.tolist()
+        record["sbct_heights"] = engine.sbct.heights_array().tolist()
+    run_info = {"config": asdict(config), **record, "wall_clock_sec": time.time() - t0}
     (out / "run.json").write_text(json.dumps(run_info, indent=2) + "\n")
-    return {"rows": rows, "summary": summary, "engine": engine, "out_dir": str(out)}
+    return {"rows": rows, "summary": summary, "record": record, "engine": engine, "out_dir": str(out)}
 
 
-def load_stream(manifest_path, pad: int = 2):
+def load_stream(manifest_path):
     """Samples from a manifest, in manifest order; unreadable files abort
     with their index."""
     pairs = synthdata.load_manifest(manifest_path)
     out = []
     for i, (img, mask) in enumerate(pairs):
         try:
-            out.append(synthdata.load_sample(img, mask, pad))
+            out.append(synthdata.load_sample(img, mask))
         except (OSError, ValueError) as exc:
             raise RuntimeError(f"stream sample {i} unreadable ({img}): {exc}") from exc
     return out

@@ -41,22 +41,7 @@ def _versions() -> dict:
     }
 
 
-def _write_run_manifest(path: Path, payload: dict, merge: bool = False):
-    """Write the manifest; with merge=True, fold in keys the subcommand
-    body already wrote to the same file (the adapt stream logs engine
-    state there)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if merge and path.exists():
-        try:
-            existing = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            existing = {}
-        payload = {**existing, **payload}
-    path.write_text(json.dumps(payload, indent=2, default=str) + "\n")
-
-
-def _execute(subcommand: str, run_path: Path, config: dict, inputs: dict, outputs: dict, fn,
-             merge: bool = False) -> int:
+def _execute(subcommand: str, run_path: Path, config: dict, inputs: dict, outputs: dict, fn) -> int:
     """Run a subcommand body with the run-manifest contract around it."""
     manifest = {
         "subcommand": subcommand,
@@ -81,7 +66,9 @@ def _execute(subcommand: str, run_path: Path, config: dict, inputs: dict, output
         return 2
     finally:
         manifest["wall_clock_sec"] = time.time() - t0
-        _write_run_manifest(run_path, manifest, merge=merge)
+        # a fresh file: nothing of an earlier run in the same place survives
+        run_path.parent.mkdir(parents=True, exist_ok=True)
+        run_path.write_text(json.dumps(manifest, indent=2, default=str) + "\n")
 
 
 # -- subcommand bodies --------------------------------------------------------
@@ -129,8 +116,14 @@ def _cmd_pretrain(args) -> int:
     coerced = {}
     for key, value in values.items():
         kind = type(getattr(defaults, key))
-        coerced[key] = kind(value)
-    cfg = pretrain.PretrainConfig(**coerced)
+        try:
+            coerced[key] = kind(value)
+        except ValueError:
+            _usage_fail(f"config key {key!r}: expected {kind.__name__}, got {value!r}")
+    try:
+        cfg = pretrain.PretrainConfig(**coerced)
+    except ValueError as exc:
+        _usage_fail(str(exc))
     out = Path(args.out)
 
     def body():
@@ -163,12 +156,11 @@ def _cmd_adapt(args) -> int:
         samples = adapt.load_stream(args.manifest)
         result = adapt.adapt_stream(model, samples, cfg, out, dump_sbct_dir=args.dump_sbct)
         print(metrics.format_summary(result["summary"]))
-        return {"summary": result["summary"]}
+        return result["record"]
 
     return _execute("adapt", out / "run.json", asdict(cfg),
                     {"checkpoint": str(args.checkpoint), "manifest": str(args.manifest)},
-                    {"out": str(out), "dump_sbct": args.dump_sbct and str(args.dump_sbct)},
-                    body, merge=True)
+                    {"out": str(out), "dump_sbct": args.dump_sbct and str(args.dump_sbct)}, body)
 
 
 def _cmd_eval(args) -> int:

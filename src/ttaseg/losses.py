@@ -154,8 +154,8 @@ def iou_head_loss(s_iou: Tensor, m_high: Tensor, gt: np.ndarray) -> Tensor:
     binarized fine mask; the target is a detached constant."""
     if m_high.shape != gt.shape:
         raise ValueError(f"iou_head_loss: shape mismatch {m_high.shape} vs {gt.shape}")
-    target = binary_iou(m_high.data > 0.0, gt.astype(bool))
-    return (s_iou - target) ** 2
+    d = s_iou - binary_iou(m_high.data > 0.0, gt.astype(bool))
+    return d * d
 
 
 def bce_with_logits(logits: Tensor, gt: np.ndarray) -> Tensor:

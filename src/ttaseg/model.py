@@ -141,15 +141,6 @@ def _init_params(config: ModelConfig, rng: np.random.Generator) -> dict:
     return params
 
 
-def lora_param_names(config: ModelConfig) -> list:
-    names = []
-    for i in range(config.encoder_blocks):
-        for proj in config.lora_targets:
-            names.append(f"enc{i}.attn.{proj}.lora_a")
-            names.append(f"enc{i}.attn.{proj}.lora_b")
-    return names
-
-
 class SegModel:
     """Parameter container plus the forward computation."""
 
@@ -158,9 +149,8 @@ class SegModel:
         self.params = params
 
     @classmethod
-    def build(cls, config: ModelConfig, seed=0) -> "SegModel":
-        rng = np.random.default_rng(seed if isinstance(seed, (list, tuple)) else [int(seed), 23])
-        return cls(config, _init_params(config, rng))
+    def build(cls, config: ModelConfig, seed: int) -> "SegModel":
+        return cls(config, _init_params(config, np.random.default_rng([seed, 23])))
 
     def clone(self) -> "SegModel":
         params = {}
@@ -174,7 +164,7 @@ class SegModel:
     def has_lora(self) -> bool:
         return any(name.endswith(".lora_a") for name in self.params)
 
-    def attach_lora(self, seed=0):
+    def attach_lora(self, seed: int):
         """Add rank-r adapters on the configured attention projections.
 
         A is small random, B is zero, so the adapted forward initially
@@ -182,7 +172,7 @@ class SegModel:
         """
         if self.has_lora:
             raise ValueError("attach_lora: adapters already present")
-        rng = np.random.default_rng(seed if isinstance(seed, (list, tuple)) else [int(seed), 29])
+        rng = np.random.default_rng([seed, 31])
         d, r = self.config.embed_dim, self.config.lora_rank
         for i in range(self.config.encoder_blocks):
             for proj in self.config.lora_targets:
@@ -403,9 +393,10 @@ def load_checkpoint(path) -> SegModel:
     has_lora = header.pop("has_lora")
     header["lora_targets"] = "".join(t for t, bit in _LORA_BITS.items() if header["lora_targets"] & bit)
     config = ModelConfig(**header)
-    model = SegModel.build(config, seed=0)
+    # the drawn values only fix the shapes; every one is overwritten below
+    model = SegModel.build(config, 0)
     if has_lora:
-        model.attach_lora(seed=0)
+        model.attach_lora(0)
     expected = {name: p.data.shape for name, p in model.params.items()}
     seen = set()
     for _ in range(reader.u32()):

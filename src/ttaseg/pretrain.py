@@ -31,6 +31,8 @@ class PretrainConfig:
     n_val: int = 200
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("PretrainConfig: epochs must be at least 1")
         if self.n_val <= 0:
             raise ValueError("PretrainConfig: n_val must be positive")
 
@@ -75,7 +77,7 @@ def pretrain(cfg: PretrainConfig, out_path, model_config: ModelConfig | None = N
     if config.image_size != synthdata.CANVAS:
         raise ValueError(f"pretrain: model image_size {config.image_size} must match "
                          f"the {synthdata.CANVAS}px generator canvas")
-    model = SegModel.build(config, seed=[cfg.seed, 23])
+    model = SegModel.build(config, cfg.seed)
     train = synthdata.gen_source(cfg.seed, cfg.n_train)
     val = synthdata.gen_source(cfg.seed + VAL_SEED_OFFSET, cfg.n_val)
 

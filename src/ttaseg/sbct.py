@@ -18,6 +18,8 @@ X_NODES = (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
 
 N_CHANNELS = 3
 N_POINTS = 4
+IDENTITY_DELTA = 1e-3  # endpoint clamp of init_identity, so every logit is finite
+CURVE_SAMPLES = 65  # rows of the --dump-sbct curve CSV
 
 
 class SbctParams:
@@ -28,10 +30,6 @@ class SbctParams:
             raise ValueError(f"SbctParams: expected shape (3, 4), got {u.shape}")
         self.u = u
 
-    @property
-    def n_trainable(self) -> int:
-        return self.u.size
-
     def heights(self) -> Tensor:
         """Control heights P[c, j] = sigmoid(u[c, j]), shape (3, 4)."""
         return self.u.sigmoid()
@@ -40,14 +38,14 @@ class SbctParams:
         return _stable_sigmoid(self.u.data)
 
 
-def init_identity(delta: float = 1e-3) -> SbctParams:
+def init_identity() -> SbctParams:
     """Parameters whose curves are each (nearly) the identity mapping.
 
     Heights j/3 give exact linear precision; endpoints are clamped to
-    (delta, 1 - delta) so the logit is finite, which bounds the deviation
-    from identity by delta.
+    (IDENTITY_DELTA, 1 - IDENTITY_DELTA) so the logit is finite, which
+    bounds the deviation from identity by IDENTITY_DELTA.
     """
-    heights = np.clip(np.array(X_NODES), delta, 1.0 - delta)
+    heights = np.clip(np.array(X_NODES), IDENTITY_DELTA, 1.0 - IDENTITY_DELTA)
     u = np.log(heights / (1.0 - heights))
     return SbctParams(Tensor(np.tile(u, (N_CHANNELS, 1)), requires_grad=True))
 
@@ -96,8 +94,9 @@ def transform(x: np.ndarray, params: SbctParams) -> Tensor:
     return transform_gray(x, params) if np.asarray(x).ndim == 2 else transform_color(x, params)
 
 
-def curve_samples(params: SbctParams, n: int = 65) -> np.ndarray:
-    """Dense curve samples for diagnostics: columns (t, c1, c2, c3)."""
+def curve_samples(params: SbctParams) -> np.ndarray:
+    """CURVE_SAMPLES curve samples for diagnostics: columns (t, c1, c2, c3)."""
+    n = CURVE_SAMPLES
     t = np.linspace(0.0, 1.0, n)
     with no_grad():
         values = transform_gray(t.reshape(1, n), params).data.reshape(N_CHANNELS, n)

@@ -20,6 +20,7 @@ from . import netpbm
 
 CANVAS = 64
 MIN_AREA = 16
+BOX_PAD = 2  # pixels added on every side of the tight box before clipping
 KINDS = ("ellipse", "blob", "lesion")
 
 # luma weights for color -> gray conversion (Rec. 601)
@@ -226,56 +227,38 @@ def _resolve_profile(profile) -> ShiftProfile:
         raise ValueError(f"unknown shift profile {profile!r}; known: {sorted(PROFILES)}") from None
 
 
-def generate(seed: int, n: int, profile, pad: int = 2) -> list:
+def generate(seed: int, n: int, profile) -> list:
     """n StreamSamples drawn from the given profile, pure in (seed, index)."""
     prof = _resolve_profile(profile)
     samples = []
     for i in range(n):
         spec = sample_spec(seed, i, prof)
         rgb, mask = render_scene(spec)
-        samples.append(StreamSample(degrade(rgb, spec), mask, oracle_box(mask, pad)))
+        samples.append(StreamSample(degrade(rgb, spec), mask, oracle_box(mask)))
     return samples
 
 
-def gen_source(seed: int, n: int, pad: int = 2) -> list:
-    return generate(seed, n, PROFILES["source"], pad)
+def gen_source(seed: int, n: int) -> list:
+    return generate(seed, n, PROFILES["source"])
 
 
-def gen_target(seed: int, n: int, profile="mri-like", pad: int = 2) -> list:
-    return generate(seed, n, profile, pad)
+def gen_target(seed: int, n: int, profile="mri-like") -> list:
+    return generate(seed, n, profile)
 
 
-def oracle_box(gt_mask: np.ndarray, pad: int = 2) -> BoxPrompt:
-    """Tight bounding box of the foreground, padded and clipped to the canvas."""
+def oracle_box(gt_mask: np.ndarray) -> BoxPrompt:
+    """Tight bounding box of the foreground, padded by BOX_PAD and clipped
+    to the canvas."""
     ys, xs = np.nonzero(gt_mask)
     if ys.size == 0:
         raise ValueError("oracle_box: empty mask")
     h, w = gt_mask.shape
     return BoxPrompt(
-        x0=float(max(xs.min() - pad, 0)),
-        y0=float(max(ys.min() - pad, 0)),
-        x1=float(min(xs.max() + 1 + pad, w)),
-        y1=float(min(ys.max() + 1 + pad, h)),
+        x0=float(max(xs.min() - BOX_PAD, 0)),
+        y0=float(max(ys.min() - BOX_PAD, 0)),
+        x1=float(min(xs.max() + 1 + BOX_PAD, w)),
+        y1=float(min(ys.max() + 1 + BOX_PAD, h)),
     )
-
-
-def boundary_gradient_stat(image: np.ndarray, mask: np.ndarray, band: int = 1) -> float:
-    """Strong-edge Sobel response (90th percentile of the gradient
-    magnitude) in a band around the mask contour.
-
-    Gradients are aggregated across channels (root mean square), so a
-    color image gets credit for chroma edges its grayscale collapse has
-    lost; the upper percentile tracks the boundary's peak response, which
-    a crisp step dominates while staying robust to the additive-noise
-    floor that would swamp a plain band mean.
-    """
-    from scipy.ndimage import binary_dilation, sobel
-
-    channels = image[None] if image.ndim == 2 else image
-    mag2 = sum(sobel(c, axis=0) ** 2 + sobel(c, axis=1) ** 2 for c in channels) / len(channels)
-    contour = mask & ~binary_dilation(~mask)
-    zone = binary_dilation(contour, iterations=band)
-    return float(np.percentile(np.sqrt(mag2[zone]), 90))
 
 
 # -- dataset files ---------------------------------------------------------
@@ -310,15 +293,18 @@ def load_manifest(path) -> list:
         reader = csv.DictReader(f)
         if reader.fieldnames != ["image", "mask"]:
             raise ValueError(f"manifest {path}: expected header image,mask")
-        for row in reader:
+        for i, row in enumerate(reader):
+            # a short row has None in its missing fields, a long one a None key
+            if None in row or not (row["image"] and row["mask"]):
+                raise ValueError(f"manifest {path}: row {i} must hold a non-empty image and mask path")
             pairs.append((base / row["image"], base / row["mask"]))
     if not pairs:
         raise ValueError(f"manifest {path}: no samples")
     return pairs
 
 
-def load_sample(img_path, mask_path, pad: int = 2) -> StreamSample:
+def load_sample(img_path, mask_path) -> StreamSample:
     image = netpbm.read_pnm(img_path)
     mask = netpbm.read_pnm(mask_path) > 0.5
-    box = oracle_box(mask, pad) if mask.any() else None
+    box = oracle_box(mask) if mask.any() else None
     return StreamSample(image, mask, box)

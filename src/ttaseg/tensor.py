@@ -25,7 +25,6 @@ __all__ = [
     "linear",
     "layer_norm",
     "attention",
-    "softmax",
     "log_softmax",
     "no_grad",
     "AdamState",
@@ -223,31 +222,6 @@ class Tensor:
             a._accum(-g)
 
         return Tensor._node(-a.data, (a,), bw, "neg")
-
-    def __pow__(self, p):
-        if isinstance(p, Tensor):
-            raise TypeError("power: exponent must be a Python scalar")
-        p = float(p)
-        a = self
-        x = a.data
-        if p == 2.0:
-            out, dfn = x * x, lambda: 2.0 * x
-        elif p == 3.0:
-            out, dfn = x * x * x, lambda: 3.0 * x * x
-        elif p == 0.5:
-            if np.any(x < 0):
-                raise DomainError(f"power: negative base under sqrt (base from op {a._op!r})")
-            root = np.sqrt(x)
-            out, dfn = root, lambda: 0.5 / root
-        else:
-            if p != int(p) and np.any(x < 0):
-                raise DomainError(f"power: negative base with fractional exponent {p} (base from op {a._op!r})")
-            out, dfn = x**p, lambda: p * x ** (p - 1.0)
-
-        def bw(g):
-            a._accum(g * dfn())
-
-        return Tensor._node(out, (a,), bw, "pow")
 
     def __matmul__(self, other):
         if not isinstance(other, Tensor):
@@ -555,31 +529,24 @@ def log_softmax(x: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
     the gradient is unaffected.
     """
     if temperature <= 0:
-        raise ValueError(f"softmax: temperature must be positive, got {temperature}")
+        raise ValueError(f"log_softmax: temperature must be positive, got {temperature}")
     y = x * (1.0 / float(temperature))
     shifted = y - Tensor(np.max(y.data, axis=axis, keepdims=True))
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 
-def softmax(x: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
-    if temperature <= 0:
-        raise ValueError(f"softmax: temperature must be positive, got {temperature}")
-    y = x * (1.0 / float(temperature))
-    shifted = y - Tensor(np.max(y.data, axis=axis, keepdims=True))
-    e = shifted.exp()
-    return e / e.sum(axis=axis, keepdims=True)
-
-
 # -- optimizer -----------------------------------------------------------
+
+
+ADAM_BETA1 = 0.9  # decay of the first-moment estimate
+ADAM_BETA2 = 0.999  # decay of the second-moment estimate
+ADAM_EPS = 1e-8  # added to the root of the second moment
 
 
 @dataclass
 class AdamState:
     """First/second moment estimates for one parameter group."""
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -592,7 +559,7 @@ def adam_step(params: Mapping[str, Tensor], state: AdamState, lr: float, weight_
     updates (coupled form).
     """
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
     for name, p in params.items():
@@ -613,5 +580,5 @@ def adam_step(params: Mapping[str, Tensor], state: AdamState, lr: float, weight_
         v = b2 * v + (1.0 - b2) * g * g
         state.m[name] = m
         state.v[name] = v
-        p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         p.grad = None

@@ -3,10 +3,12 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ttaseg import pretrain
 from ttaseg.model import ModelConfig, SegModel, load_checkpoint
+from ttaseg.tensor import Tensor
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PINNED = json.loads((REPO_ROOT / "benchmarks" / "pinned.json").read_text())
@@ -23,6 +25,29 @@ CONFIG16 = ModelConfig(
     highres_size=16,
     lora_rank=4,
 )
+
+
+def lora_param_names(config: ModelConfig) -> list:
+    """The adapter tensors ``attach_lora`` adds, in its order."""
+    return [f"enc{i}.attn.{proj}.lora_{ab}" for i in range(config.encoder_blocks)
+            for proj in config.lora_targets for ab in "ab"]
+
+
+# -- reference tape ops: composed graphs that tests compare the package with
+
+
+def sqrt(x: Tensor) -> Tensor:
+    """Elementwise square root as one tape node (slope 0.5 / root)."""
+    root = np.sqrt(x.data)
+    return Tensor._node(root, (x,), lambda g: x._accum(g * (0.5 / root)), "sqrt")
+
+
+def softmax(x: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
+    """Temperature-scaled softmax built from elementary ops; the max shift
+    is a constant."""
+    y = x * (1.0 / float(temperature))
+    e = (y - Tensor(np.max(y.data, axis=axis, keepdims=True))).exp()
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 @pytest.fixture()

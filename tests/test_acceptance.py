@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CONFIG16, PINNED
+from conftest import CONFIG16, PINNED, lora_param_names
 from fdcheck import numeric_grad
 from test_metrics import oracle_hd95, random_mask
 from test_sbct import bezier_scalar
@@ -18,7 +18,7 @@ from ttaseg import losses, sbct, synthdata
 from ttaseg.adapt import AdaptConfig, AdaptEngine, adapt_stream, ema_update, run_calibration
 from ttaseg.cli import main as cli_main
 from ttaseg.metrics import dice, hd95, read_metrics_csv, summarize, hd95_sentinel
-from ttaseg.model import SegModel, load_checkpoint, lora_param_names, save_checkpoint, tokens_to_grid
+from ttaseg.model import SegModel, load_checkpoint, save_checkpoint, tokens_to_grid
 from ttaseg.synthdata import StreamSample
 from ttaseg.tensor import AdamState, Tensor, adam_step, no_grad
 
@@ -247,7 +247,7 @@ def test_c07_calibration_improves_in_all_seeds(accept_model):
 
 def test_c08_parameter_count_claims():
     curve = sbct.init_identity()
-    assert curve.n_trainable == 12
+    assert curve.u.size == 12
     assert curve.u.data.shape == (3, 4)
     from ttaseg.model import ModelConfig
     config = ModelConfig()
@@ -267,7 +267,7 @@ def test_c08_parameter_count_claims():
     d = config.embed_dim
     lora_total = config.encoder_blocks * 2 * config.lora_rank * (d + d)
     assert sum(engine.student.params[n].size for n in lora_param_names(config)) == lora_total
-    assert engine.sbct.n_trainable == 12
+    assert engine.sbct.u.size == 12
     print(f"criterion 8: 12 curve scalars; rank-4 adapters ({lora_total} scalars); "
           f"trainable set enumerated exactly")
 

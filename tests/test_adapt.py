@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sqrt
 from ttaseg import losses, sbct, synthdata
 from ttaseg.adapt import (AdaptConfig, AdaptEngine, adapt_stream, ema_update, load_stream,
                           replicate_channels, run_calibration)
@@ -381,7 +382,7 @@ def test_non_finite_gradient_skips_before_adam_and_ema(base_model, strategy, mon
     def nan_gradient(student, *args):
         # value 0, gradient 0 * inf = nan on every tensor behind the confidence
         total, breakdown = objective(student, *args)
-        return total + (student.s_iou * 0.0) ** 0.5, breakdown
+        return total + sqrt(student.s_iou * 0.0), breakdown
 
     monkeypatch.setattr("ttaseg.adapt.losses.total_tta_loss", nan_gradient)
     with np.errstate(divide="ignore", invalid="ignore"), \

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ttaseg.cli import main
 from ttaseg.metrics import read_metrics_csv
 
@@ -67,6 +69,20 @@ def test_pretrain_rejects_unknown_config_key(tmp_path):
     assert run("pretrain", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")) == 1
 
 
+@pytest.mark.parametrize("file_text, flags, key", [
+    ("epochs = abc\n", [], "'epochs'"),
+    (None, ["--n-val", "0"], "n_val"),
+    (None, ["--epochs", "0"], "epochs"),
+], ids=["value-not-an-int", "no-validation-samples", "zero-epochs"])
+def test_pretrain_bad_config_is_usage_error_naming_the_key(tmp_path, capsys, file_text, flags, key):
+    if file_text is not None:
+        (tmp_path / "pretrain.cfg").write_text(file_text)
+        flags = ["--config", str(tmp_path / "pretrain.cfg"), *flags]
+    assert run("pretrain", *flags, "--out", str(tmp_path / "m.ckpt")) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def _make_pipeline(tmp_path, n_adapt=4):
     data = tmp_path / "target"
     ckpt = tmp_path / "model.ckpt"
@@ -111,6 +127,24 @@ def test_adapt_missing_checkpoint_is_runtime_error(tmp_path):
                "--strategy", "none", "--out", str(out)) == 2
     manifest = json.loads((out / "run.json").read_text())
     assert manifest["status"] == "error"
+
+
+def test_adapt_run_json_holds_this_run_only(tmp_path):
+    """A successful adapt records the stream under ``result``; a failed
+    rerun into the same directory leaves nothing of it behind."""
+    data, ckpt = _make_pipeline(tmp_path, n_adapt=2)
+    out = tmp_path / "adapted"
+    argv = ["--manifest", str(data / "manifest.csv"), "--seed", "0", "--out", str(out)]
+    assert run("adapt", "--checkpoint", str(ckpt), "--strategy", "sam-tta", *argv) == 0
+    first = json.loads((out / "run.json").read_text())
+    assert first["status"] == "success" and first["config"]["strategy"] == "sam-tta"
+    assert first["result"]["n_images"] == 2 and first["result"]["skipped"] == []
+    assert len(first["result"]["sbct_u"]) == 3 and "mean_dice" in first["result"]["summary"]
+    assert run("adapt", "--checkpoint", str(tmp_path / "nope.ckpt"), "--strategy", "none", *argv) == 2
+    second = json.loads((out / "run.json").read_text())
+    assert second["status"] == "error" and second["config"]["strategy"] == "none"
+    assert set(second) == {"subcommand", "config", "seed", "versions", "inputs", "outputs",
+                           "status", "error", "wall_clock_sec"}
 
 
 def test_eval_missing_prediction_is_runtime_error(tmp_path):

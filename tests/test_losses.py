@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import softmax
 from fdcheck import assert_grads_close, numeric_grad
 from ttaseg.losses import (EPSILON, LossBreakdown, RunningMax, bce_with_logits, confidence_stat,
                            entropy_loss, iou_head_loss, l_dpc, l_icm, l_ifc, lambda_dpc, soft_dice,
                            total_tta_loss)
+from ttaseg.metrics import binary_iou
 from ttaseg.model import SegOutputs
-from ttaseg.tensor import Tensor, softmax
+from ttaseg.tensor import Tensor
 
 
 def make_outputs(rng, scale=1.0, low=4, high=8, s_logit=0.0, tokens=4, dim=4,
@@ -40,6 +42,22 @@ def test_iou_head_loss_maximal_miss():
     m = Tensor(np.array([[5.0, -5.0]]))
     gt = np.array([[False, True]])  # true IoU 0
     assert iou_head_loss(Tensor(1.0), m, gt).item() == 1.0
+
+
+def test_iou_head_loss_is_bitwise_the_numpy_square():
+    """Value d*d, and the gradient g*d + g*d that the two uses of d send
+    back to the IoU estimate (doubling is exact, so it equals g*(2d))."""
+    rng = np.random.default_rng(8)
+    m = Tensor(rng.normal(size=(6, 6)))
+    gt = rng.uniform(size=(6, 6)) < 0.4
+    s_iou = Tensor(0.7318, requires_grad=True)
+    d = s_iou.data - binary_iou(m.data > 0.0, gt)
+    loss = iou_head_loss(s_iou, m, gt) * 0.37
+    loss.backward()
+    g = np.float64(0.37)
+    assert loss.data == d * d * g
+    assert s_iou.grad == g * d + g * d
+    assert s_iou.grad == g * (2.0 * d)
 
 
 def test_iou_head_loss_hand_case():

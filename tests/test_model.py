@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import lora_param_names
 from fdcheck import assert_grads_close, numeric_grad
 from ttaseg import sbct
-from ttaseg.model import (ModelConfig, SegModel, _config_fields, load_checkpoint, lora_param_names,
-                          save_checkpoint, tokens_to_grid)
+from ttaseg.model import ModelConfig, SegModel, _config_fields, load_checkpoint, save_checkpoint, tokens_to_grid
 from ttaseg.synthdata import BoxPrompt
 from ttaseg.tensor import Tensor, no_grad
 

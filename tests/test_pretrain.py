@@ -12,6 +12,8 @@ TINY = PretrainConfig(epochs=1, lr=1e-3, seed=0, n_train=8, n_val=4)
 def test_config_validation():
     with pytest.raises(ValueError, match="n_val"):
         PretrainConfig(n_val=0)
+    with pytest.raises(ValueError, match="epochs"):
+        PretrainConfig(epochs=0)
 
 
 def test_downsample_mask_block_average():

@@ -68,7 +68,7 @@ def test_identity_init_is_near_identity():
 
 def test_identity_init_has_twelve_identical_channel_scalars():
     params = init_identity()
-    assert params.n_trainable == 12
+    assert params.u.size == 12
     assert np.array_equal(params.u.data[0], params.u.data[1])
     assert np.array_equal(params.u.data[0], params.u.data[2])
 
@@ -200,7 +200,7 @@ def test_transform_dispatch():
 
 
 def test_curve_samples_layout():
-    rows = curve_samples(init_identity(), n=65)
+    rows = curve_samples(init_identity())
     assert rows.shape == (65, 4)
     assert rows[0, 0] == 0.0 and rows[-1, 0] == 1.0
 

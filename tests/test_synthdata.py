@@ -3,11 +3,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.ndimage import binary_dilation, sobel
+
 from ttaseg import synthdata
-from ttaseg.synthdata import (PROFILES, BoxPrompt, ShiftProfile, boundary_gradient_stat,
-                              degrade, gen_source, gen_target, generate, load_manifest,
-                              load_sample, oracle_box, render_scene, sample_spec,
-                              write_dataset)
+from ttaseg.synthdata import (BOX_PAD, PROFILES, BoxPrompt, ShiftProfile, degrade, gen_source,
+                              gen_target, generate, load_manifest, load_sample, oracle_box,
+                              render_scene, sample_spec, write_dataset)
+
+
+def boundary_gradient_stat(image: np.ndarray, mask: np.ndarray, band: int = 1) -> float:
+    """Strong-edge Sobel response (90th percentile of the gradient
+    magnitude) in a band around the mask contour.
+
+    Gradients are aggregated across channels (root mean square), so a
+    color image gets credit for chroma edges its grayscale collapse has
+    lost; the upper percentile tracks the boundary's peak response, which
+    a crisp step dominates while staying robust to the additive-noise
+    floor that would swamp a plain band mean.
+    """
+    channels = image[None] if image.ndim == 2 else image
+    mag2 = sum(sobel(c, axis=0) ** 2 + sobel(c, axis=1) ** 2 for c in channels) / len(channels)
+    contour = mask & ~binary_dilation(~mask)
+    zone = binary_dilation(contour, iterations=band)
+    return float(np.percentile(np.sqrt(mag2[zone]), 90))
 
 
 def test_same_seed_is_bitwise_deterministic():
@@ -71,13 +89,14 @@ def test_unknown_profile_rejected():
 def test_oracle_box_single_pixel_exclusive_convention():
     mask = np.zeros((16, 16), dtype=bool)
     mask[5, 7] = True
-    assert oracle_box(mask, pad=0) == BoxPrompt(7.0, 5.0, 8.0, 6.0)
+    p = float(BOX_PAD)
+    assert oracle_box(mask) == BoxPrompt(7.0 - p, 5.0 - p, 8.0 + p, 6.0 + p)
 
 
 def test_oracle_box_pad_clips_to_canvas():
     mask = np.zeros((8, 8), dtype=bool)
-    mask[4, 4] = True
-    assert oracle_box(mask, pad=100) == BoxPrompt(0.0, 0.0, 8.0, 8.0)
+    mask[0, 0] = mask[7, 7] = True
+    assert oracle_box(mask) == BoxPrompt(0.0, 0.0, 8.0, 8.0)
 
 
 def test_oracle_box_rejects_empty_mask():
@@ -92,7 +111,7 @@ def test_oracle_box_contains_every_foreground_pixel(seed):
     mask = rng.uniform(size=(12, 12)) < 0.15
     if not mask.any():
         mask[rng.integers(12), rng.integers(12)] = True
-    box = oracle_box(mask, pad=rng.integers(0, 3))
+    box = oracle_box(mask)
     ys, xs = np.nonzero(mask)
     assert box.x0 <= xs.min() and xs.max() < box.x1
     assert box.y0 <= ys.min() and ys.max() < box.y1
@@ -139,6 +158,16 @@ def test_empty_manifest_rejected(tmp_path):
     empty.write_text("image,mask\n")
     with pytest.raises(ValueError, match="no samples"):
         load_manifest(empty)
+
+
+@pytest.mark.parametrize("row", ["img_00001.pgm", ",mask_00001.pgm", "img_00001.pgm,",
+                                 "img_00001.pgm,mask_00001.pgm,extra"],
+                         ids=["missing-mask", "empty-image", "empty-mask", "extra-field"])
+def test_malformed_manifest_row_names_file_and_row(tmp_path, row):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"image,mask\nimg_00000.pgm,mask_00000.pgm\n{row}\n")
+    with pytest.raises(ValueError, match=rf"manifest {manifest}: row 1 "):
+        load_manifest(manifest)
 
 
 def test_source_is_color_target_is_gray():
