@@ -38,7 +38,7 @@ import numpy as np
 
 from . import losses, metrics, netpbm, sbct, synthdata
 from .model import SegModel, save_checkpoint
-from .tensor import AdamState, Tensor, adam_step, no_grad
+from .tensor import AdamState, ParamGroup, Tensor, adam_step, no_grad
 
 log = logging.getLogger("ttaseg.adapt")
 
@@ -117,9 +117,9 @@ class AdaptEngine:
             self.student.attach_lora(config.seed)
             self.student.set_trainable(lambda name: ".lora_" in name or name.startswith("prompt."))
         self.sbct = sbct.init_identity() if spec.curves else None
-        # the two optimizer groups; either may be empty
-        self.curves = {"sbct.u": self.sbct.u} if spec.curves else {}
-        self.adapters = self.student.trainable()
+        # the two optimizer groups, each laid out in one vector; either may be empty
+        self.curves = ParamGroup({"sbct.u": self.sbct.u} if spec.curves else {})
+        self.adapters = ParamGroup(self.student.trainable())
         self.teacher = self.teacher_sbct = self.ema_pair = None
         if spec.teacher:
             self.teacher = self.student.clone()

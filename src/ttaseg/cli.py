@@ -1,9 +1,11 @@
 """Command-line entry point: gen, pretrain, adapt, eval, calibrate.
 
-Every subcommand writes a replayable run manifest (resolved config, seed,
-versions, paths, wall clock) before exiting, on success and on failure.
-Config precedence for pretrain is defaults < config file < CLI flags.
-Exit codes: 0 success, 1 usage error, 2 runtime failure.
+Once a run starts, every subcommand writes a replayable run manifest
+(resolved config, seed, versions, paths, wall clock) before exiting, on
+success and on runtime failure. A usage error (an unknown flag or config
+key, or a value out of range) exits 1 before a run starts and writes no
+manifest. Config precedence for pretrain is defaults < config file < CLI
+flags. Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -75,6 +77,8 @@ def _execute(subcommand: str, run_path: Path, config: dict, inputs: dict, output
 
 
 def _cmd_gen(args) -> int:
+    if args.n < 0:
+        _usage_fail(f"n must not be negative, got {args.n}")
     out = Path(args.out)
 
     def body():
@@ -144,12 +148,15 @@ def _usage_fail(message: str):
 
 def _cmd_adapt(args) -> int:
     out = Path(args.out)
-    cfg = adapt.AdaptConfig(
-        strategy=args.strategy,
-        seed=args.seed,
-        steps_per_image=args.steps_per_image,
-        reset_optimizer=args.reset_optimizer,
-    )
+    try:
+        cfg = adapt.AdaptConfig(
+            strategy=args.strategy,
+            seed=args.seed,
+            steps_per_image=args.steps_per_image,
+            reset_optimizer=args.reset_optimizer,
+        )
+    except ValueError as exc:
+        _usage_fail(str(exc))
 
     def body():
         model = load_checkpoint(args.checkpoint)

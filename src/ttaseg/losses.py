@@ -18,7 +18,7 @@ import numpy as np
 
 from .metrics import binary_iou
 from .model import SegOutputs, tokens_to_grid
-from .tensor import Tensor, log_softmax
+from .tensor import Tensor, _stable_sigmoid, log_softmax
 
 EPSILON = 1e-6
 
@@ -84,12 +84,39 @@ def soft_dice(a: Tensor, b: Tensor) -> Tensor:
     return 1.0 - num / den
 
 
+# The two fused loss nodes below each replace a composite subgraph with one
+# tape node, as tensor.linear does: forward and backward run the composed
+# graph's numpy operations in its order, so the loss and every gradient are
+# bit-identical to the composition they name.
+
+
+def soft_dice_logits(logits: Tensor, target: np.ndarray) -> Tensor:
+    """``soft_dice(logits.sigmoid(), Tensor(target))`` as one node; the
+    target is a constant probability map."""
+    if logits.shape != target.shape:
+        raise ValueError(f"soft_dice_logits: shape mismatch {logits.shape} vs {target.shape}")
+    a = _stable_sigmoid(logits.data)
+    num = 2.0 * (a * target).sum() + EPSILON
+    den = a.sum() + target.sum() + EPSILON
+
+    def bw(g):
+        gq = -g
+        gnum = gq / den
+        gden = -gq * num / (den * den)
+        # sum(a) is the later use of a, so its gradient lands first
+        ga = gnum * 2.0 * target
+        ga += gden
+        logits._accum(ga * a * (1.0 - a))
+
+    return Tensor._node(1.0 - num / den, (logits,), bw, "soft_dice")
+
+
 def l_dpc(student: SegOutputs, teacher: SegOutputs) -> Tensor:
     """Dual-resolution prediction consistency; the teacher side is detached."""
     if student.m_high.shape != teacher.m_high.shape or student.m_low.shape != teacher.m_low.shape:
         raise ValueError("l_dpc: student/teacher resolution mismatch")
-    return (soft_dice(student.m_high.sigmoid(), teacher.m_high.detach().sigmoid())
-            + soft_dice(student.m_low.sigmoid(), teacher.m_low.detach().sigmoid()))
+    return (soft_dice_logits(student.m_high, _stable_sigmoid(teacher.m_high.data))
+            + soft_dice_logits(student.m_low, _stable_sigmoid(teacher.m_low.data)))
 
 
 def l_ifc(z_student: Tensor, z_teacher: Tensor, s_iou: float) -> Tensor:
@@ -159,9 +186,23 @@ def iou_head_loss(s_iou: Tensor, m_high: Tensor, gt: np.ndarray) -> Tensor:
 
 
 def bce_with_logits(logits: Tensor, gt: np.ndarray) -> Tensor:
-    """Stable binary cross-entropy, mean over pixels."""
-    y = Tensor(gt.astype(np.float64))
-    return (y * (-logits).softplus() + (1.0 - y) * logits.softplus()).mean()
+    """Stable binary cross-entropy, mean over pixels, as one node:
+    ``(y * softplus(-x) + (1 - y) * softplus(x)).mean()``."""
+    if logits.shape != gt.shape:
+        raise ValueError(f"bce_with_logits: shape mismatch {logits.shape} vs {gt.shape}")
+    x = logits.data
+    y = gt.astype(np.float64)
+    not_y = 1.0 - y
+    inv_n = 1.0 / float(x.size)
+    total = (y * np.logaddexp(0.0, -x) + not_y * np.logaddexp(0.0, x)).sum() * inv_n
+
+    def bw(g):
+        gsum = g * inv_n
+        # the softplus(x) branch was built last, so it lands first
+        logits._accum(gsum * not_y * _stable_sigmoid(x))
+        logits._accum(-(gsum * y * _stable_sigmoid(-x)))
+
+    return Tensor._node(total, (logits,), bw, "bce")
 
 
 def entropy_loss(m_high: Tensor) -> Tensor:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import adapt, losses, metrics, synthdata
 from .model import ModelConfig, SegModel, save_checkpoint
-from .tensor import AdamState, Tensor, adam_step
+from .tensor import AdamState, ParamGroup, adam_step
 
 # fixed offset separating the held-out validation stream from training data
 VAL_SEED_OFFSET = 500_009
@@ -35,6 +35,10 @@ class PretrainConfig:
             raise ValueError("PretrainConfig: epochs must be at least 1")
         if self.n_val <= 0:
             raise ValueError("PretrainConfig: n_val must be positive")
+        if self.n_train <= 0:
+            raise ValueError("PretrainConfig: n_train must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"PretrainConfig: lr must be a positive finite number, got {self.lr!r}")
 
 
 def downsample_mask(gt: np.ndarray, factor: int) -> np.ndarray:
@@ -49,9 +53,9 @@ def sample_loss(model: SegModel, sample: synthdata.StreamSample):
     gt = sample.gt_mask
     factor = model.config.highres_size // model.config.lowres_size
     gt_low = downsample_mask(gt, factor)
-    loss = (losses.soft_dice(out.m_high.sigmoid(), Tensor(gt.astype(np.float64)))
+    loss = (losses.soft_dice_logits(out.m_high, gt.astype(np.float64))
             + losses.bce_with_logits(out.m_high, gt)
-            + losses.soft_dice(out.m_low.sigmoid(), Tensor(gt_low))
+            + losses.soft_dice_logits(out.m_low, gt_low)
             + losses.iou_head_loss(out.s_iou, out.m_high, gt))
     return loss, out
 
@@ -81,13 +85,13 @@ def pretrain(cfg: PretrainConfig, out_path, model_config: ModelConfig | None = N
     train = synthdata.gen_source(cfg.seed, cfg.n_train)
     val = synthdata.gen_source(cfg.seed + VAL_SEED_OFFSET, cfg.n_val)
 
-    state = AdamState()
-    all_params = dict(model.params)
-    for p in all_params.values():
+    for p in model.params.values():
         p.requires_grad = True
+    group = ParamGroup(model.params)
+    state = AdamState()
 
-    best_dice = -1.0
-    best_params = None
+    best = None
+    best_flat = None
     history = []
     for epoch in range(cfg.epochs):
         order = np.random.default_rng([cfg.seed, 37, epoch]).permutation(len(train))
@@ -96,25 +100,24 @@ def pretrain(cfg: PretrainConfig, out_path, model_config: ModelConfig | None = N
             if not math.isfinite(float(loss.data)):
                 raise RuntimeError(f"pretrain: non-finite loss at epoch {epoch}, sample {int(idx)}")
             loss.backward()
-            adam_step(all_params, state, cfg.lr)
+            adam_step(group, state, cfg.lr)
         val_summary = evaluate(model, val)
         history.append(val_summary["mean_dice"])
-        if val_summary["mean_dice"] > best_dice:
-            best_dice = val_summary["mean_dice"]
-            best_params = {k: p.data.copy() for k, p in model.params.items()}
+        if best is None or val_summary["mean_dice"] > best["mean_dice"]:
+            best = val_summary
+            best_flat = group.flat.copy()
 
-    for name, data in best_params.items():
-        model.params[name].data = data
-        model.params[name].requires_grad = False
+    group.flat[...] = best_flat
+    for p in group.values():
+        p.requires_grad = False
     save_checkpoint(model, out_path)
-
-    final = evaluate(model, val)
+    # evaluation is deterministic, so the best epoch's summary is what
+    # re-scoring the restored parameters on the same samples would give
     return {
         "config": asdict(cfg),
         "val_dice_history": history,
-        "best_val_dice": best_dice,
-        "final_val_dice": final["mean_dice"],
-        "final_val_pearson_r": final["pearson_r"],
+        "best_val_dice": best["mean_dice"],
+        "final_val_dice": best["mean_dice"],
+        "final_val_pearson_r": best["pearson_r"],
         "checkpoint": str(out_path),
     }
-

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -28,6 +28,7 @@ __all__ = [
     "log_softmax",
     "no_grad",
     "AdamState",
+    "ParamGroup",
     "adam_step",
 ]
 
@@ -286,14 +287,6 @@ class Tensor:
 
         return Tensor._node(out, (a,), bw, "gelu")
 
-    def softplus(self):
-        a = self
-
-        def bw(g):
-            a._accum(g * _stable_sigmoid(a.data))
-
-        return Tensor._node(np.logaddexp(0.0, a.data), (a,), bw, "softplus")
-
     def sin(self):
         a = self
 
@@ -543,42 +536,83 @@ ADAM_BETA2 = 0.999  # decay of the second-moment estimate
 ADAM_EPS = 1e-8  # added to the root of the second moment
 
 
+class ParamGroup(dict):
+    """Named tensors whose ``.data`` are views into one contiguous float64
+    vector, ``flat``, laid out in the mapping's order.
+
+    Forming the group copies each member's values into ``flat`` and rebinds
+    the member's ``.data`` to its view, so one optimizer step over the group
+    is a few whole-vector operations. Afterwards a member is updated in
+    place; rebinding its ``.data`` detaches it from the group, and
+    ``adam_step`` refuses it.
+    """
+
+    def __init__(self, params: Mapping[str, Tensor]):
+        super().__init__(params)
+        self.flat = np.empty(sum(p.data.size for p in self.values()))
+        offset = 0
+        for p in self.values():
+            view = self.flat[offset:offset + p.data.size].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            offset += view.size
+
+
 @dataclass
 class AdamState:
-    """First/second moment estimates for one parameter group."""
+    """First/second moment estimates of one parameter group, laid out like
+    its ``flat``; the first step allocates them."""
 
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
-def adam_step(params: Mapping[str, Tensor], state: AdamState, lr: float, weight_decay: float = 0.0):
-    """One Adam update over a named parameter group; clears gradients.
+def adam_step(params: ParamGroup, state: AdamState, lr: float, weight_decay: float = 0.0):
+    """One Adam update over a parameter group; clears gradients.
 
     Weight decay is classic L2 added to the gradient before the moment
-    updates (coupled form).
+    updates (coupled form). The whole-vector in-place operations replay the
+    per-tensor expressions operand for operand, so the bits are those of
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    ``p = p - lr*(m/c1) / (sqrt(v/c2) + eps)``. Every member is checked
+    before anything is updated.
     """
+    flat = params.flat
+    grads = []
+    for name, p in params.items():
+        if p.grad is None:
+            raise ValueError(f"adam_step: parameter {name!r} has no gradient")
+        if p.data.base is not flat:
+            raise ValueError(f"adam_step: parameter {name!r} is not a view of its group's vector "
+                             f"(its .data was rebound); update it in place")
+        grads.append(p.grad.reshape(-1))
+    if state.m is None:
+        state.m = np.zeros_like(flat)
+        state.v = np.zeros_like(flat)
+    elif state.m.shape != flat.shape:
+        raise ValueError(f"adam_step: stale moments of {state.m.size} values for a group of {flat.size}")
+    g = np.concatenate(grads)
+    if weight_decay:
+        g += weight_decay * flat
     state.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
-    for name, p in params.items():
-        if p.grad is None:
-            raise ValueError(f"adam_step: parameter {name!r} has no gradient")
-        g = p.grad
-        if weight_decay:
-            g = g + weight_decay * p.data
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        else:
-            v = state.v[name]
-            if m.shape != p.data.shape:
-                raise ValueError(f"adam_step: stale moments for {name!r}")
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    m, v = state.m, state.v
+    m *= b1
+    t = (1.0 - b1) * g
+    m += t
+    v *= b2
+    np.multiply(1.0 - b2, g, out=t)
+    t *= g
+    v += t
+    np.divide(m, c1, out=t)
+    t *= lr
+    np.divide(v, c2, out=g)
+    np.sqrt(g, out=g)
+    g += ADAM_EPS
+    t /= g
+    flat -= t
+    for p in params.values():
         p.grad = None

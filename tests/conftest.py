@@ -8,7 +8,7 @@ import pytest
 
 from ttaseg import pretrain
 from ttaseg.model import ModelConfig, SegModel, load_checkpoint
-from ttaseg.tensor import Tensor
+from ttaseg.tensor import Tensor, _stable_sigmoid
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PINNED = json.loads((REPO_ROOT / "benchmarks" / "pinned.json").read_text())
@@ -40,6 +40,36 @@ def sqrt(x: Tensor) -> Tensor:
     """Elementwise square root as one tape node (slope 0.5 / root)."""
     root = np.sqrt(x.data)
     return Tensor._node(root, (x,), lambda g: x._accum(g * (0.5 / root)), "sqrt")
+
+
+def softplus(x: Tensor) -> Tensor:
+    """log(1 + exp(x)) as one tape node (slope sigmoid(x))."""
+    return Tensor._node(np.logaddexp(0.0, x.data), (x,), lambda g: x._accum(g * _stable_sigmoid(x.data)),
+                        "softplus")
+
+
+def bce_composed(logits: Tensor, gt: np.ndarray) -> Tensor:
+    """The graph ``losses.bce_with_logits`` fuses into one node."""
+    y = Tensor(gt.astype(np.float64))
+    return (y * softplus(-logits) + (1.0 - y) * softplus(logits)).mean()
+
+
+def loss_and_grads(model, build):
+    """The loss ``build()`` returns and every parameter gradient its
+    backward leaves, with every parameter trainable."""
+    for p in model.params.values():
+        p.requires_grad = True
+        p.grad = None
+    loss = build()
+    loss.backward()
+    return loss.data.copy(), {n: p.grad.copy() for n, p in model.params.items() if p.grad is not None}
+
+
+def assert_same_loss_and_grads(a, b):
+    assert np.array_equal(a[0], b[0])
+    assert a[1].keys() == b[1].keys()
+    for name in a[1]:
+        assert np.array_equal(a[1][name], b[1][name]), f"{name} gradient differs"
 
 
 def softmax(x: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:

@@ -20,7 +20,7 @@ from ttaseg.cli import main as cli_main
 from ttaseg.metrics import dice, hd95, read_metrics_csv, summarize, hd95_sentinel
 from ttaseg.model import SegModel, load_checkpoint, save_checkpoint, tokens_to_grid
 from ttaseg.synthdata import StreamSample
-from ttaseg.tensor import AdamState, Tensor, adam_step, no_grad
+from ttaseg.tensor import AdamState, ParamGroup, Tensor, adam_step, no_grad
 
 EPS = losses.EPSILON
 
@@ -128,7 +128,7 @@ def test_c02_closed_form_loss_values():
 
     p = Tensor([3.0], requires_grad=True)
     p.grad = np.array([1.0])
-    adam_step({"p": p}, AdamState(), lr=0.01)
+    adam_step(ParamGroup({"p": p}), AdamState(), lr=0.01)
     assert abs(float(p.data[0]) - 3.0 + 0.01) <= 1e-6
     print("criterion 2: all five closed-form values reproduced")
 

@@ -134,6 +134,30 @@ def test_teacher_receives_no_gradient(base_model):
     assert total == 0.0
 
 
+@pytest.mark.parametrize("strategy", ["mean-teacher", "sam-tta", "sbct-only"])
+def test_teacher_shares_no_memory_with_student(base_model, strategy):
+    """The student's optimizer groups are views into flat vectors; the
+    teacher, cloned from the student, must hold copies, before and after
+    an update."""
+    engine = AdaptEngine(base_model, AdaptConfig(strategy=strategy, seed=2))
+
+    def assert_disjoint():
+        teacher = [p.data for p in engine.teacher.params.values()]
+        if engine.teacher_sbct is not None:
+            teacher.append(engine.teacher_sbct.u.data)
+        student = [p.data for p in engine.student.params.values()]
+        student += [engine.adapters.flat, engine.curves.flat]
+        if engine.sbct is not None:
+            student.append(engine.sbct.u.data)
+        for t in teacher:
+            assert not any(np.shares_memory(t, s) for s in student)
+
+    assert_disjoint()
+    engine.process(target_stream(1)[0])
+    assert len(engine.records) == 1
+    assert_disjoint()
+
+
 def test_lambda_logged_in_unit_interval_and_first_is_one(base_model):
     engine = AdaptEngine(base_model, AdaptConfig(strategy="sam-tta", seed=3))
     rows = [engine.process(s)[1] for s in target_stream(6)]
@@ -337,8 +361,9 @@ def _state(engine) -> dict:
     for group, opt in (("opt_sbct", engine.opt_sbct), ("opt_model", engine.opt_model)):
         state[f"{group}.step"] = np.array(opt.step)
         for moment in ("m", "v"):
-            for n, value in getattr(opt, moment).items():
-                state[f"{group}.{moment}.{n}"] = value.copy()
+            value = getattr(opt, moment)
+            if value is not None:
+                state[f"{group}.{moment}"] = value.copy()
     return state
 
 

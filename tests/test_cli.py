@@ -46,6 +46,13 @@ def test_gen_writes_dataset_and_manifest(tmp_path):
     assert run_info["status"] == "success" and run_info["seed"] == 1
 
 
+def test_gen_negative_count_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert run("gen", "--profile", "source", "--n", "-2", "--out", str(out)) == 1
+    assert "n must not be negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_source_writes_ppm(tmp_path):
     out = tmp_path / "src"
     assert run("gen", "--profile", "source", "--n", "2", "--out", str(out)) == 0
@@ -73,7 +80,11 @@ def test_pretrain_rejects_unknown_config_key(tmp_path):
     ("epochs = abc\n", [], "'epochs'"),
     (None, ["--n-val", "0"], "n_val"),
     (None, ["--epochs", "0"], "epochs"),
-], ids=["value-not-an-int", "no-validation-samples", "zero-epochs"])
+    (None, ["--epochs", "1", "--n-val", "2", "--n-train", "0"], "n_train"),
+    (None, ["--epochs", "1", "--n-val", "2", "--n-train", "2", "--lr", "-1"], "lr"),
+    (None, ["--epochs", "1", "--n-val", "2", "--n-train", "2", "--lr", "nan"], "lr"),
+], ids=["value-not-an-int", "no-validation-samples", "zero-epochs", "no-training-samples",
+        "negative-lr", "nan-lr"])
 def test_pretrain_bad_config_is_usage_error_naming_the_key(tmp_path, capsys, file_text, flags, key):
     if file_text is not None:
         (tmp_path / "pretrain.cfg").write_text(file_text)
@@ -116,6 +127,14 @@ def test_full_pipeline_end_to_end(tmp_path):
 def test_adapt_rejects_unknown_strategy(tmp_path):
     assert run("adapt", "--checkpoint", "x", "--manifest", "y",
                "--strategy", "cotta", "--out", str(tmp_path)) == 1
+
+
+def test_adapt_zero_steps_per_image_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run("adapt", "--checkpoint", "x", "--manifest", "y", "--strategy", "sam-tta",
+               "--steps-per-image", "0", "--out", str(out)) == 1
+    assert "steps_per_image" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_adapt_missing_checkpoint_is_runtime_error(tmp_path):

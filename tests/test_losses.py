@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import softmax
+from conftest import assert_same_loss_and_grads, loss_and_grads, softmax
 from fdcheck import assert_grads_close, numeric_grad
 from ttaseg.losses import (EPSILON, LossBreakdown, RunningMax, bce_with_logits, confidence_stat,
                            entropy_loss, iou_head_loss, l_dpc, l_icm, l_ifc, lambda_dpc, soft_dice,
                            total_tta_loss)
 from ttaseg.metrics import binary_iou
 from ttaseg.model import SegOutputs
-from ttaseg.tensor import Tensor
+from ttaseg.synthdata import BoxPrompt
+from ttaseg.tensor import Tensor, no_grad
 
 
 def make_outputs(rng, scale=1.0, low=4, high=8, s_logit=0.0, tokens=4, dim=4,
@@ -139,6 +140,24 @@ def test_l_dpc_teacher_receives_no_gradient():
     l_dpc(student, teacher).backward()
     assert student_low.grad is not None and student_high.grad is not None
     assert teacher_low.grad is None and teacher_high.grad is None
+
+
+def test_l_dpc_is_bitwise_the_composed_graph(model16):
+    """The fused soft-Dice nodes give the loss and every weight gradient of
+    the composed graph, through the shared decoder."""
+    rng = np.random.default_rng(4)
+    box = BoxPrompt(2.0, 2.0, 14.0, 14.0)
+    x_student, x_teacher = rng.uniform(0.0, 1.0, (2, 3, 16, 16))
+    with no_grad():
+        teacher = model16.forward(x_teacher, box)
+
+    def composed(s, t):
+        return (soft_dice(s.m_high.sigmoid(), t.m_high.detach().sigmoid())
+                + soft_dice(s.m_low.sigmoid(), t.m_low.detach().sigmoid()))
+
+    fused, reference = (loss_and_grads(model16, lambda: fn(model16.forward(x_student, box), teacher) * 0.7)
+                        for fn in (l_dpc, composed))
+    assert_same_loss_and_grads(fused, reference)
 
 
 def test_l_dpc_resolution_mismatch():

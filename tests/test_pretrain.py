@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import CONFIG16, PINNED
-from ttaseg import synthdata
+from conftest import CONFIG16, PINNED, assert_same_loss_and_grads, bce_composed, loss_and_grads
+from ttaseg import losses, synthdata
 from ttaseg.model import load_checkpoint
-from ttaseg.pretrain import PretrainConfig, downsample_mask, evaluate, pretrain, sample_loss
+from ttaseg.pretrain import VAL_SEED_OFFSET, PretrainConfig, downsample_mask, evaluate, pretrain, sample_loss
+from ttaseg.tensor import Tensor
 
 TINY = PretrainConfig(epochs=1, lr=1e-3, seed=0, n_train=8, n_val=4)
 
@@ -14,6 +15,12 @@ def test_config_validation():
         PretrainConfig(n_val=0)
     with pytest.raises(ValueError, match="epochs"):
         PretrainConfig(epochs=0)
+    for n_train in (0, -3):
+        with pytest.raises(ValueError, match="n_train"):
+            PretrainConfig(n_train=n_train)
+    for lr in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lr"):
+            PretrainConfig(lr=lr)
 
 
 def test_downsample_mask_block_average():
@@ -113,15 +120,49 @@ def test_pretrain_rejects_mismatched_canvas(tmp_path):
         pretrain(TINY, tmp_path / "m.ckpt", model_config=CONFIG16)
 
 
-def test_sample_loss_components_positive(model16):
-    sample = synthdata.StreamSample(
+def _sample16():
+    return synthdata.StreamSample(
         np.random.default_rng(1).uniform(0, 1, (3, 16, 16)),
         np.pad(np.ones((6, 6), dtype=bool), 5),
         synthdata.BoxPrompt(3.0, 3.0, 13.0, 13.0),
     )
+
+
+def test_sample_loss_components_positive(model16):
+    sample = _sample16()
     for p in model16.params.values():
         p.requires_grad = True
     loss, out = sample_loss(model16, sample)
     assert float(loss.data) > 0.0
     loss.backward()
     assert model16.params["patch_embed.w"].grad is not None
+
+
+def test_sample_loss_is_bitwise_the_composed_graph(model16):
+    """The fused soft-Dice and BCE nodes give the loss and every weight
+    gradient of the composed graph; the fine mask gets its three gradient
+    contributions in the composed graph's order."""
+    sample = _sample16()
+
+    def composed():
+        out = model16.forward(sample.image, sample.box)
+        gt = sample.gt_mask
+        return (losses.soft_dice(out.m_high.sigmoid(), Tensor(gt.astype(np.float64)))
+                + bce_composed(out.m_high, gt)
+                + losses.soft_dice(out.m_low.sigmoid(), Tensor(downsample_mask(gt, 4)))
+                + losses.iou_head_loss(out.s_iou, out.m_high, gt))
+
+    fused = loss_and_grads(model16, lambda: sample_loss(model16, sample)[0])
+    assert_same_loss_and_grads(fused, loss_and_grads(model16, composed))
+
+
+def test_final_summary_is_an_evaluation_of_the_written_checkpoint(tmp_path):
+    """The returned final validation figures are the best epoch's, and they
+    equal a fresh evaluation of the checkpoint on the validation samples."""
+    cfg = PretrainConfig(epochs=3, lr=1e-3, seed=0, n_train=8, n_val=4)
+    summary = pretrain(cfg, tmp_path / "m.ckpt")
+    history = summary["val_dice_history"]
+    assert history.index(max(history)) < len(history) - 1  # the best parameters are restored
+    final = evaluate(load_checkpoint(tmp_path / "m.ckpt"), synthdata.gen_source(cfg.seed + VAL_SEED_OFFSET, cfg.n_val))
+    assert summary["final_val_dice"] == final["mean_dice"] == summary["best_val_dice"] == max(history)
+    assert summary["final_val_pearson_r"] == final["pearson_r"]

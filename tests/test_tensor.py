@@ -1,14 +1,17 @@
 import math
+import platform
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import softmax, sqrt
+from conftest import bce_composed, softmax, softplus, sqrt
 from fdcheck import assert_grads_close, numeric_grad
-from ttaseg.tensor import (AdamState, DomainError, Tensor, adam_step, as_tensor, attention, concat,
-                           layer_norm, linear, log_softmax, no_grad)
+import ttaseg
+from ttaseg import losses
+from ttaseg.tensor import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, DomainError, ParamGroup, Tensor,
+                           adam_step, as_tensor, attention, concat, layer_norm, linear, log_softmax, no_grad)
 
 
 def test_sigmoid_at_zero():
@@ -179,7 +182,7 @@ _UNARY_OPS = {
     "log": (lambda t: t.log(), 0.05, 5.0),
     "exp": (lambda t: t.exp(), -2.0, 2.0),
     "sigmoid": (lambda t: t.sigmoid(), -5.0, 5.0),
-    "softplus": (lambda t: t.softplus(), -5.0, 5.0),
+    "softplus": (softplus, -5.0, 5.0),
     "gelu": (lambda t: t.gelu(), -4.0, 4.0),
     "sin": (lambda t: t.sin(), -3.0, 3.0),
     "cos": (lambda t: t.cos(), -3.0, 3.0),
@@ -415,13 +418,134 @@ def test_upstage_gradients_match_finite_differences(model16):
     _assert_grads_match_finite_differences(fused, leaves)
 
 
+# -- fused loss nodes ----------------------------------------------------------
+
+
+# A loss spreads its gradient over every pixel, about 1/n of the upstream
+# gradient each. The cases scale the loss by n, so that each pixel's
+# contribution is as large as the reuse term of _weighted_loss and a
+# regrouped sum shows in the bits.
+
+
+def _soft_dice_case(seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(0.0, 2.0, (12, 23)), requires_grad=True)
+    target = rng.uniform(0.0, 1.0, (12, 23))
+    return ([x], (lambda: losses.soft_dice_logits(x, target) * x.size),
+            (lambda: losses.soft_dice(x.sigmoid(), Tensor(target)) * x.size))
+
+
+def _bce_case(seed, soft=False):
+    """A binary mask, or soft labels: with binary labels only one of the two
+    softplus branches reaches each pixel, so only soft labels show the order
+    in which the branches' gradients land."""
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(0.0, 2.0, (12, 23)), requires_grad=True)
+    gt = rng.uniform(0.0, 1.0, (12, 23))
+    if not soft:
+        gt = gt < 0.4
+    return [x], (lambda: losses.bce_with_logits(x, gt) * x.size), (lambda: bce_composed(x, gt) * x.size)
+
+
+def _soft_bce_case(seed):
+    return _bce_case(seed, soft=True)
+
+
+@pytest.mark.parametrize("case", [_soft_dice_case, _bce_case, _soft_bce_case], ids=["soft_dice", "bce", "bce-soft-labels"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fused_loss_is_bitwise_the_composed_graph(case, seed):
+    leaves, fused, composed = case(seed)
+    _assert_bitwise_equal(fused, composed, leaves)
+
+
+@pytest.mark.parametrize("case", [_soft_dice_case, _bce_case, _soft_bce_case], ids=["soft_dice", "bce", "bce-soft-labels"])
+def test_fused_loss_gradients_match_finite_differences(case):
+    leaves, fused, _ = case(5)
+    _assert_grads_match_finite_differences(fused, leaves)
+
+
+def test_fused_losses_are_one_node_each():
+    x = Tensor(np.zeros((2, 3)), requires_grad=True)
+    for out in (losses.soft_dice_logits(x, np.full((2, 3), 0.5)),
+                losses.bce_with_logits(x, np.ones((2, 3), dtype=bool))):
+        assert out._parents == (x,)
+
+
+def test_fused_losses_reject_shape_mismatch():
+    x = Tensor(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        losses.soft_dice_logits(x, np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        losses.bce_with_logits(x, np.zeros(6, dtype=bool))
+
+
 # -- optimizer ---------------------------------------------------------------
+
+
+def _reference_adam_step(params, state, lr, weight_decay=0.0):
+    """The per-tensor Adam that ``adam_step`` replaced: a loop over named
+    tensors with per-name moments, rebinding each ``.data``."""
+    state["step"] += 1
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    c1 = 1.0 - b1 ** state["step"]
+    c2 = 1.0 - b2 ** state["step"]
+    for name, p in params.items():
+        g = p.grad
+        if weight_decay:
+            g = g + weight_decay * p.data
+        m = state["m"].get(name, np.zeros_like(p.data))
+        v = state["v"].get(name, np.zeros_like(p.data))
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        state["m"][name] = m
+        state["v"][name] = v
+        p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        p.grad = None
+
+
+_MIXED_SHAPES = {"w": (7, 5), "b": (7,), "cube": (3, 2, 4), "one": (1,), "u": (3, 4)}
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-2], ids=["plain", "weight-decay"])
+@pytest.mark.parametrize("reset_at", [None, 3], ids=["kept", "reset-before-step-3"])
+def test_adam_step_is_bitwise_the_per_tensor_reference(weight_decay, reset_at):
+    rng = np.random.default_rng(11)
+    init = {name: rng.normal(size=shape) for name, shape in _MIXED_SHAPES.items()}
+    group = ParamGroup({name: Tensor(a, requires_grad=True) for name, a in init.items()})
+    ref = {name: Tensor(a, requires_grad=True) for name, a in init.items()}
+    state, ref_state = AdamState(), {"step": 0, "m": {}, "v": {}}
+    for step in range(5):
+        if step == reset_at:  # what AdaptConfig.reset_optimizer does per image
+            state, ref_state = AdamState(), {"step": 0, "m": {}, "v": {}}
+        for name, shape in _MIXED_SHAPES.items():
+            # large and tiny gradients, and exact zeros
+            g = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3, size=shape)
+            g[rng.uniform(size=shape) < 0.2] = 0.0
+            group[name].grad = g.copy()
+            ref[name].grad = g.copy()
+        adam_step(group, state, lr=0.01, weight_decay=weight_decay)
+        _reference_adam_step(ref, ref_state, lr=0.01, weight_decay=weight_decay)
+        for name in _MIXED_SHAPES:
+            assert np.array_equal(group[name].data, ref[name].data), f"step {step}: {name}"
+            assert group[name].grad is None
+        assert np.array_equal(state.m, np.concatenate([ref_state["m"][n].reshape(-1) for n in _MIXED_SHAPES]))
+        assert np.array_equal(state.v, np.concatenate([ref_state["v"][n].reshape(-1) for n in _MIXED_SHAPES]))
+    assert state.step == 5 - (reset_at or 0)
+
+
+def test_param_group_lays_members_out_in_one_vector():
+    a, b = Tensor(np.arange(6.0).reshape(2, 3)), Tensor([7.0, 8.0])
+    group = ParamGroup({"a": a, "b": b})
+    assert np.array_equal(group.flat, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 8.0])
+    assert a.data.shape == (2, 3) and a.data.base is group.flat and b.data.base is group.flat
+    group.flat[-1] = 9.0
+    assert b.data[1] == 9.0
 
 
 def test_adam_first_step_closed_form():
     p = Tensor([3.0], requires_grad=True)
     p.grad = np.array([1.0])
-    adam_step({"p": p}, AdamState(), lr=0.01)
+    adam_step(ParamGroup({"p": p}), AdamState(), lr=0.01)
     assert abs(float(p.data[0]) - (3.0 - 0.01)) <= 1e-9
     assert p.grad is None
 
@@ -429,7 +553,7 @@ def test_adam_first_step_closed_form():
 def test_adam_zero_gradient_keeps_parameters():
     p = Tensor([1.5, -2.0], requires_grad=True)
     p.grad = np.zeros(2)
-    adam_step({"p": p}, AdamState(), lr=0.1)
+    adam_step(ParamGroup({"p": p}), AdamState(), lr=0.1)
     assert np.array_equal(p.data, [1.5, -2.0])
 
 
@@ -438,24 +562,58 @@ def test_adam_two_groups_use_their_own_rates():
     slow = Tensor([0.0], requires_grad=True)
     fast.grad = np.array([1.0])
     slow.grad = np.array([1.0])
-    adam_step({"fast": fast}, AdamState(), lr=0.01)
-    adam_step({"slow": slow}, AdamState(), lr=0.001)
+    adam_step(ParamGroup({"fast": fast}), AdamState(), lr=0.01)
+    adam_step(ParamGroup({"slow": slow}), AdamState(), lr=0.001)
     assert abs(float(fast.data[0]) + 0.01) <= 1e-9
     assert abs(float(slow.data[0]) + 0.001) <= 1e-9
 
 
+def _two_member_group():
+    group = ParamGroup({"p": Tensor([1.0, 2.0], requires_grad=True), "q": Tensor([3.0], requires_grad=True)})
+    group["p"].grad = np.array([1.0, 1.0])
+    group["q"].grad = np.array([1.0])
+    return group
+
+
 def test_adam_missing_gradient_rejected():
-    p = Tensor([1.0], requires_grad=True)
-    with pytest.raises(ValueError, match="no gradient"):
-        adam_step({"p": p}, AdamState(), lr=0.01)
+    group = _two_member_group()
+    group["q"].grad = None
+    state = AdamState()
+    with pytest.raises(ValueError, match="'q' has no gradient"):
+        adam_step(group, state, lr=0.01)
+    assert np.array_equal(group.flat, [1.0, 2.0, 3.0]) and state.step == 0
+
+
+def test_adam_rebound_member_rejected_by_name():
+    group = _two_member_group()
+    group["p"].data = group["p"].data + 0.0  # a copy, no longer the group's view
+    state = AdamState()
+    with pytest.raises(ValueError, match="'p' is not a view of its group's vector"):
+        adam_step(group, state, lr=0.01)
+    assert np.array_equal(group.flat, [1.0, 2.0, 3.0]) and state.step == 0
+
+
+def test_adam_stale_moments_rejected():
+    group = _two_member_group()
+    state = AdamState()
+    adam_step(group, state, lr=0.01)
+    other = ParamGroup({"r": Tensor([0.0], requires_grad=True)})
+    other["r"].grad = np.array([1.0])
+    with pytest.raises(ValueError, match="stale moments"):
+        adam_step(other, state, lr=0.01)
 
 
 def test_adam_weight_decay_is_coupled_l2():
     p = Tensor([2.0], requires_grad=True)
     p.grad = np.array([0.0])
-    adam_step({"p": p}, AdamState(), lr=0.01, weight_decay=0.5)
+    adam_step(ParamGroup({"p": p}), AdamState(), lr=0.01, weight_decay=0.5)
     # effective gradient 0.5*2=1 on the first step -> bias-corrected unit step
     assert abs(float(p.data[0]) - (2.0 - 0.01)) <= 1e-9
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator policy is glibc's mallopt")
+def test_allocator_policy_applied_on_glibc():
+    assert ttaseg.MALLOPT_RESULTS == (1, 1)
 
 
 def test_as_tensor_passthrough():
