@@ -14,6 +14,7 @@ from .tensor import AdamState, ParamGroup, Tensor, adam_step, no_grad
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 # A training step allocates and frees the same temporaries every time, many
 # of them 128-341 KiB. Under glibc's default dynamic thresholds the free
 # heap top they leave is trimmed back to the kernel, and the next step
@@ -26,11 +27,17 @@ _M_MMAP_THRESHOLD = -3
 # from the heap, and up to 1 GiB of free heap top is kept.
 MMAP_THRESHOLD_BYTES = 32 * 2**20
 TRIM_THRESHOLD_BYTES = 2**30
+# Every thread that allocates would otherwise get an arena of its own (up
+# to eight per core), and since the trim threshold keeps each arena's freed
+# top, each keeps its own high-water mark: four strategies adapting in four
+# threads held four sets of step temporaries. Threads run ttaseg work one at
+# a time under the GIL, so a single shared arena costs no lock contention.
+ARENA_MAX = 1
 
 
 def _set_allocator_policy():
-    """Apply the thresholds above through glibc's ``mallopt``; returns its
-    two results, or None where the C library is not glibc or has no
+    """Apply the settings above through glibc's ``mallopt``; returns its
+    three results, or None where the C library is not glibc or has no
     ``mallopt``."""
     if platform.libc_ver()[0] != "glibc":
         return None
@@ -40,7 +47,8 @@ def _set_allocator_policy():
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     return (mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES),
-            mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES))
+            mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES),
+            mallopt(_M_ARENA_MAX, ARENA_MAX))
 
 
 MALLOPT_RESULTS = _set_allocator_policy()

@@ -77,8 +77,8 @@ def _execute(subcommand: str, run_path: Path, config: dict, inputs: dict, output
 
 
 def _cmd_gen(args) -> int:
-    if args.n < 0:
-        _usage_fail(f"n must not be negative, got {args.n}")
+    if args.n < 1:
+        _usage_fail(f"n must be positive, got {args.n}")
     out = Path(args.out)
 
     def body():

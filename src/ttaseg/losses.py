@@ -106,7 +106,7 @@ def soft_dice_logits(logits: Tensor, target: np.ndarray) -> Tensor:
         # sum(a) is the later use of a, so its gradient lands first
         ga = gnum * 2.0 * target
         ga += gden
-        logits._accum(ga * a * (1.0 - a))
+        logits._accum_owned(ga * a * (1.0 - a))
 
     return Tensor._node(1.0 - num / den, (logits,), bw, "soft_dice")
 
@@ -199,8 +199,8 @@ def bce_with_logits(logits: Tensor, gt: np.ndarray) -> Tensor:
     def bw(g):
         gsum = g * inv_n
         # the softplus(x) branch was built last, so it lands first
-        logits._accum(gsum * not_y * _stable_sigmoid(x))
-        logits._accum(-(gsum * y * _stable_sigmoid(-x)))
+        logits._accum_owned(gsum * not_y * _stable_sigmoid(x))
+        logits._accum_owned(-(gsum * y * _stable_sigmoid(-x)))
 
     return Tensor._node(total, (logits,), bw, "bce")
 

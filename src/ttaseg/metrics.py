@@ -3,9 +3,13 @@ and the Pearson correlation between predicted and true IoU.
 
 HD95 runs on boundary pixels (foreground with a 4-neighbor background or
 image-edge contact), with unit pixel spacing and linearly interpolated
-percentiles. Undefined distances (an empty mask on either side) are
-recorded as a sentinel equal to the image diagonal, which is strictly
-larger than any achievable distance, and excluded from aggregates.
+percentiles. Boundary coordinates are integers, so every squared distance
+is an exact integer and its square root the correctly rounded float64 a
+KD-tree query would return; the nearest-boundary search is a blocked
+pairwise minimum on the pixel grid. Undefined distances (an empty mask on
+either side) are recorded as a sentinel equal to the image diagonal, which
+is strictly larger than any achievable distance, and excluded from
+aggregates.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
+
+# the most point pairs one block of the nearest-boundary search holds
+HD95_BLOCK_PAIRS = 2**16
 
 CSV_HEADER = ["index", "dice", "hd95", "pred_iou", "true_iou", "l_icm", "l_dpc", "l_ifc", "lambda_dpc"]
 
@@ -90,6 +96,33 @@ def hd95_sentinel(shape) -> float:
     return float(np.hypot(*shape))
 
 
+def _nearest_squared_distances(a: np.ndarray, b: np.ndarray, dtype=np.int32):
+    """For integer points ``a`` (n, 2) and ``b`` (m, 2): the squared distance
+    from each point of ``a`` to its nearest point of ``b``, and from each
+    point of ``b`` to its nearest point of ``a``, exact in ``dtype``.
+
+    The pairwise squares are formed in blocks of at most
+    ``HD95_BLOCK_PAIRS``, whose row and column minima are folded into the
+    two results, so working memory is bounded for any number of points.
+    """
+    ay, ax = a[:, :1].astype(dtype), a[:, 1:].astype(dtype)
+    by, bx = b[:, 0].astype(dtype), b[:, 1].astype(dtype)
+    cols = min(len(b), HD95_BLOCK_PAIRS)
+    rows = HD95_BLOCK_PAIRS // cols
+    to_b = np.full(len(a), np.iinfo(dtype).max, dtype)
+    to_a = np.full(len(b), np.iinfo(dtype).max, dtype)
+    for i in range(0, len(a), rows):
+        for j in range(0, len(b), cols):
+            d2 = ay[i:i + rows] - by[j:j + cols]
+            d2 *= d2
+            dx = ax[i:i + rows] - bx[j:j + cols]
+            dx *= dx
+            d2 += dx
+            np.minimum(to_b[i:i + rows], d2.min(axis=1), out=to_b[i:i + rows])
+            np.minimum(to_a[j:j + cols], d2.min(axis=0), out=to_a[j:j + cols])
+    return to_b, to_a
+
+
 def hd95(pred: np.ndarray, gt: np.ndarray) -> float:
     """Symmetric 95th-percentile boundary distance; sentinel when undefined."""
     pred, gt = _as_bool(pred), _as_bool(gt)
@@ -97,11 +130,11 @@ def hd95(pred: np.ndarray, gt: np.ndarray) -> float:
         raise ValueError(f"hd95: shape mismatch {pred.shape} vs {gt.shape}")
     if not pred.any() or not gt.any():
         return hd95_sentinel(pred.shape)
-    pb = boundary_pixels(pred).astype(np.float64)
-    gb = boundary_pixels(gt).astype(np.float64)
-    d_pg = cKDTree(gb).query(pb)[0]
-    d_gp = cKDTree(pb).query(gb)[0]
-    return max(percentile_linear(d_pg, 95.0), percentile_linear(d_gp, 95.0))
+    # a squared distance on a grid up to 2^15 pixels a side fits in int32
+    dtype = np.int32 if max(pred.shape) <= 2**15 else np.int64
+    d2_pg, d2_gp = _nearest_squared_distances(boundary_pixels(pred), boundary_pixels(gt), dtype)
+    return max(percentile_linear(np.sqrt(d2_pg, dtype=np.float64), 95.0),
+               percentile_linear(np.sqrt(d2_gp, dtype=np.float64), 95.0))
 
 
 def score_row(index: int, pred: np.ndarray, gt: np.ndarray, pred_iou: float = math.nan,

@@ -233,14 +233,14 @@ class SegModel:
                 w, b = layers[i]
                 gpre = per_pos[i] * slope[i]
                 if b.requires_grad:
-                    b._accum(gpre.sum(axis=0))
+                    b._accum_owned(gpre.sum(axis=0))
                 if f.requires_grad:
                     contribution = gpre @ w.data
                     gflat = contribution if gflat is None else gflat + contribution
                 if w.requires_grad:
-                    w._accum((flat.T @ gpre).transpose())
+                    w._accum_owned((flat.T @ gpre).transpose())
             if f.requires_grad:
-                f._accum(gflat.reshape(hh, ww, din))
+                f._accum_owned(gflat.reshape(hh, ww, din))
 
         parents = (f,) + tuple(p for layer in layers for p in layer)
         return Tensor._node(out, parents, bw, "upstage")

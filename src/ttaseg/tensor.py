@@ -154,6 +154,16 @@ class Tensor:
         else:
             self.grad += g
 
+    def _accum_owned(self, g: np.ndarray):
+        """``_accum`` for a fresh float64 result that nothing else holds (a
+        product, quotient, matmul or reduction, or a view of one): the first
+        gradient adopts it instead of copying. ``g`` itself, and views of it
+        such as a reshape, transpose or concat piece, go through ``_accum``."""
+        if self.grad is None and g.shape == self.data.shape:
+            self.grad = g
+        else:
+            self._accum(g)
+
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
@@ -178,7 +188,7 @@ class Tensor:
             if a.requires_grad:
                 a._accum(_unbroadcast(g, a.data.shape))
             if b.requires_grad:
-                b._accum(_unbroadcast(-g, b.data.shape))
+                b._accum_owned(_unbroadcast(-g, b.data.shape))
 
         return Tensor._node(a.data - b.data, (a, b), bw, "sub")
 
@@ -191,9 +201,9 @@ class Tensor:
 
         def bw(g):
             if a.requires_grad:
-                a._accum(_unbroadcast(g * b.data, a.data.shape))
+                a._accum_owned(_unbroadcast(g * b.data, a.data.shape))
             if b.requires_grad:
-                b._accum(_unbroadcast(g * a.data, b.data.shape))
+                b._accum_owned(_unbroadcast(g * a.data, b.data.shape))
 
         return Tensor._node(a.data * b.data, (a, b), bw, "mul")
 
@@ -207,9 +217,9 @@ class Tensor:
 
         def bw(g):
             if a.requires_grad:
-                a._accum(_unbroadcast(g / b.data, a.data.shape))
+                a._accum_owned(_unbroadcast(g / b.data, a.data.shape))
             if b.requires_grad:
-                b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+                b._accum_owned(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
         return Tensor._node(a.data / b.data, (a, b), bw, "div")
 
@@ -220,7 +230,7 @@ class Tensor:
         a = self
 
         def bw(g):
-            a._accum(-g)
+            a._accum_owned(-g)
 
         return Tensor._node(-a.data, (a,), bw, "neg")
 
@@ -239,9 +249,9 @@ class Tensor:
 
         def bw(g):
             if a.requires_grad:
-                a._accum(g @ np.swapaxes(b.data, -1, -2))
+                a._accum_owned(g @ np.swapaxes(b.data, -1, -2))
             if b.requires_grad:
-                b._accum(np.swapaxes(a.data, -1, -2) @ g)
+                b._accum_owned(np.swapaxes(a.data, -1, -2) @ g)
 
         return Tensor._node(a.data @ b.data, (a, b), bw, "matmul")
 
@@ -255,7 +265,7 @@ class Tensor:
             )
 
         def bw(g):
-            a._accum(g / a.data)
+            a._accum_owned(g / a.data)
 
         return Tensor._node(np.log(a.data), (a,), bw, "log")
 
@@ -264,7 +274,7 @@ class Tensor:
         out = np.exp(a.data)
 
         def bw(g):
-            a._accum(g * out)
+            a._accum_owned(g * out)
 
         return Tensor._node(out, (a,), bw, "exp")
 
@@ -273,7 +283,7 @@ class Tensor:
         out = _stable_sigmoid(a.data)
 
         def bw(g):
-            a._accum(g * out * (1.0 - out))
+            a._accum_owned(g * out * (1.0 - out))
 
         return Tensor._node(out, (a,), bw, "sigmoid")
 
@@ -283,7 +293,7 @@ class Tensor:
         out, t = gelu_parts(a.data)
 
         def bw(g):
-            a._accum(g * gelu_slope(a.data, t))
+            a._accum_owned(g * gelu_slope(a.data, t))
 
         return Tensor._node(out, (a,), bw, "gelu")
 
@@ -291,7 +301,7 @@ class Tensor:
         a = self
 
         def bw(g):
-            a._accum(g * np.cos(a.data))
+            a._accum_owned(g * np.cos(a.data))
 
         return Tensor._node(np.sin(a.data), (a,), bw, "sin")
 
@@ -299,7 +309,7 @@ class Tensor:
         a = self
 
         def bw(g):
-            a._accum(-g * np.sin(a.data))
+            a._accum_owned(-g * np.sin(a.data))
 
         return Tensor._node(np.cos(a.data), (a,), bw, "cos")
 
@@ -308,7 +318,7 @@ class Tensor:
         inside = (a.data >= lo) & (a.data <= hi)
 
         def bw(g):
-            a._accum(g * inside)
+            a._accum_owned(g * inside)
 
         return Tensor._node(np.clip(a.data, lo, hi), (a,), bw, "clip")
 
@@ -322,7 +332,7 @@ class Tensor:
             gg = g
             if axis is not None and not keepdims:
                 gg = np.expand_dims(gg, axis)
-            a._accum(np.broadcast_to(gg, a.data.shape).copy())
+            a._accum_owned(np.broadcast_to(gg, a.data.shape).copy())
 
         return Tensor._node(out, (a,), bw, "sum")
 
@@ -434,17 +444,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor, lora=None, scale: float = 1.0) -> Te
             if x.requires_grad or a.requires_grad:
                 glow = gl @ bb.data
                 if x.requires_grad:
-                    x._accum(glow @ a.data)
+                    x._accum_owned(glow @ a.data)
                 if a.requires_grad:
-                    a._accum((np.swapaxes(xd, -1, -2) @ glow).transpose())
+                    a._accum_owned((np.swapaxes(xd, -1, -2) @ glow).transpose())
             if bb.requires_grad:
-                bb._accum((np.swapaxes(low, -1, -2) @ gl).transpose())
+                bb._accum_owned((np.swapaxes(low, -1, -2) @ gl).transpose())
         if b.requires_grad:
             b._accum(_unbroadcast(g, b.data.shape))
         if x.requires_grad:
-            x._accum(g @ w.data)
+            x._accum_owned(g @ w.data)
         if w.requires_grad:
-            w._accum((np.swapaxes(xd, -1, -2) @ g).transpose())
+            w._accum_owned((np.swapaxes(xd, -1, -2) @ g).transpose())
 
     return Tensor._node(out, parents, bw, "linear")
 
@@ -461,7 +471,7 @@ def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accum(_unbroadcast(grad, b.data.shape))
         if g.requires_grad:
-            g._accum(_unbroadcast(grad * xn, g.data.shape))
+            g._accum_owned(_unbroadcast(grad * xn, g.data.shape))
         if not x.requires_grad:
             return
         gxn = grad * g.data
@@ -473,7 +483,7 @@ def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
         gxc += gsq
         gxc += gsq
         # the centred path reaches x before the mean path
-        x._accum(gxc)
+        x._accum_owned(gxc)
         x._accum(np.broadcast_to(_unbroadcast(-gxc, root.shape) * inv_n, xd.shape))
 
     return Tensor._node(xn * g.data + b.data, (x, g, b), bw, "layer_norm")
@@ -499,7 +509,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         gav = g.reshape(nq, heads, hd).transpose(1, 0, 2)
         if v.requires_grad:
             gvh = np.swapaxes(att, -1, -2) @ gav
-            v._accum(gvh.transpose(1, 0, 2).reshape(nk, d))
+            v._accum_owned(gvh.transpose(1, 0, 2).reshape(nk, d))
         if not (q.requires_grad or k.requires_grad):
             return
         gatt = gav @ np.swapaxes(vh, -1, -2)
@@ -508,9 +518,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         gs = ge * e * scale
         if k.requires_grad:
             gkt = np.swapaxes(qh, -1, -2) @ gs
-            k._accum(gkt.transpose(0, 2, 1).transpose(1, 0, 2).reshape(nk, d))
+            k._accum_owned(gkt.transpose(0, 2, 1).transpose(1, 0, 2).reshape(nk, d))
         if q.requires_grad:
-            q._accum((gs @ np.swapaxes(kt, -1, -2)).transpose(1, 0, 2).reshape(nq, d))
+            q._accum_owned((gs @ np.swapaxes(kt, -1, -2)).transpose(1, 0, 2).reshape(nq, d))
 
     return Tensor._node(out, (q, k, v), bw, "attention")
 

@@ -4,6 +4,7 @@ import pytest
 
 from ttaseg.cli import main
 from ttaseg.metrics import read_metrics_csv
+from ttaseg.model import ModelConfig, SegModel, save_checkpoint
 
 TINY_PRETRAIN = ["--epochs", "2", "--n-train", "12", "--n-val", "6", "--seed", "0"]
 
@@ -49,7 +50,15 @@ def test_gen_writes_dataset_and_manifest(tmp_path):
 def test_gen_negative_count_is_usage_error(tmp_path, capsys):
     out = tmp_path / "data"
     assert run("gen", "--profile", "source", "--n", "-2", "--out", str(out)) == 1
-    assert "n must not be negative" in capsys.readouterr().err
+    assert "n must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_zero_count_is_usage_error(tmp_path, capsys):
+    """An empty dataset is refused up front, not by ``adapt`` at run time."""
+    out = tmp_path / "data"
+    assert run("gen", "--profile", "mri-like", "--n", "0", "--out", str(out)) == 1
+    assert "n must be positive, got 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -198,9 +207,16 @@ def test_calibrate_both_reports_delta(tmp_path):
 
 
 def test_run_manifest_written_on_failure_and_replayable(tmp_path):
-    out = tmp_path / "data"
-    # n = 0 fails inside the body (nothing to write), after run.json scaffolding
-    assert run("gen", "--profile", "source", "--n", "0", "--seed", "0", "--out", str(out)) in (0, 2)
+    data = tmp_path / "data"
+    assert run("gen", "--profile", "mri-like", "--n", "1", "--out", str(data)) == 0
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(SegModel.build(ModelConfig(), 0), ckpt)
+    ckpt.write_bytes(ckpt.read_bytes()[:-8])
+    out = tmp_path / "adapted"
+    # a truncated checkpoint fails inside the body, after run.json scaffolding
+    assert run("adapt", "--checkpoint", str(ckpt), "--manifest", str(data / "manifest.csv"),
+               "--strategy", "none", "--seed", "0", "--out", str(out)) == 2
     manifest = json.loads((out / "run.json").read_text())
-    assert manifest["subcommand"] == "gen"
+    assert manifest["subcommand"] == "adapt"
     assert {"config", "versions", "wall_clock_sec", "status"} <= set(manifest)
+    assert manifest["status"] == "error" and "truncated" in manifest["error"]

@@ -1,13 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from ttaseg.metrics import (CSV_HEADER, MetricsRow, binary_iou, boundary_pixels, dice, hd95,
                             hd95_sentinel, pearson_r, percentile_linear, read_metrics_csv,
                             summarize, write_metrics_csv)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # brute-force oracles, deliberately written as plain loops
@@ -40,6 +48,21 @@ def oracle_hd95(pred, gt):
     d_pg = [min(math.hypot(a[0] - b[0], a[1] - b[1]) for b in gb) for a in pb]
     d_gp = [min(math.hypot(a[0] - b[0], a[1] - b[1]) for a in pb) for b in gb]
     return max(oracle_percentile(d_pg, 95), oracle_percentile(d_gp, 95))
+
+
+def kdtree_hd95(pred, gt):
+    """HD95 with the nearest boundary distances from two KD-trees, as the
+    metric was once computed."""
+    if not pred.any() or not gt.any():
+        return hd95_sentinel(pred.shape)
+    pb = boundary_pixels(pred).astype(np.float64)
+    gb = boundary_pixels(gt).astype(np.float64)
+    return max(percentile_linear(cKDTree(gb).query(pb)[0], 95.0),
+               percentile_linear(cKDTree(pb).query(gb)[0], 95.0))
+
+
+def checkerboard(side=64):
+    return np.indices((side, side)).sum(axis=0) % 2 == 1
 
 
 def oracle_hausdorff_exact(pred, gt):
@@ -139,6 +162,66 @@ def test_hd95_empty_mask_sentinel():
     assert hd95(full, empty) == sentinel
     # sentinel is strictly beyond any achievable lattice distance
     assert sentinel > math.hypot(15, 15)
+
+
+@st.composite
+def masks64(draw):
+    """64x64 masks: empty, full, a single pixel, a rectangle (often touching
+    the edge), sparse noise, a checkerboard or its complement."""
+    kind = draw(st.sampled_from(["empty", "full", "pixel", "rectangle", "noise", "checkerboard",
+                                 "checkerboard-complement"]))
+    mask = np.zeros((64, 64), dtype=bool)
+    if kind == "full":
+        mask[:] = True
+    elif kind == "pixel":
+        mask[draw(st.integers(0, 63)), draw(st.integers(0, 63))] = True
+    elif kind == "rectangle":
+        r0, c0 = draw(st.integers(0, 63)), draw(st.integers(0, 63))
+        mask[r0:draw(st.integers(r0 + 1, 64)), c0:draw(st.integers(c0 + 1, 64))] = True
+    elif kind == "noise":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        mask = rng.uniform(size=(64, 64)) < draw(st.sampled_from([0.002, 0.02, 0.1]))
+    elif kind.startswith("checkerboard"):
+        mask = checkerboard() ^ kind.endswith("complement")
+    return mask
+
+
+@given(pred=masks64(), gt=masks64())
+@settings(max_examples=40, deadline=None)
+def test_hd95_on_the_grid_equals_the_oracle_and_the_kdtree_exactly(pred, gt):
+    expected = kdtree_hd95(pred, gt)
+    assert hd95(pred, gt) == expected
+    if pred.any() and gt.any():
+        assert expected == oracle_hd95(pred, gt)
+
+
+def test_hd95_checkerboard_working_memory_is_bounded():
+    """2,048 boundary pixels a side are 4.2 million pairs; the blocked
+    search never holds more than a few blocks of them."""
+    board = checkerboard()
+    tracemalloc.start()
+    try:
+        value = hd95(board, ~board)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 1.0
+    assert peak <= 4 * 2**20
+
+
+def test_scoring_does_not_load_scipy_spatial():
+    script = ("import sys\n"
+              "import numpy as np\n"
+              "import ttaseg\n"
+              "from ttaseg import metrics\n"
+              "mask = np.zeros((8, 8), dtype=bool)\n"
+              "mask[2:5, 3:6] = True\n"
+              "metrics.score_row(0, mask, np.roll(mask, 1, axis=0))\n"
+              "print('scipy.spatial' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_percentile_linear_matches_numpy_and_oracle():

@@ -1,5 +1,10 @@
+import itertools
 import math
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,9 @@ from hypothesis import strategies as st
 from conftest import bce_composed, softmax, softplus, sqrt
 from fdcheck import assert_grads_close, numeric_grad
 import ttaseg
-from ttaseg import losses
+from ttaseg import adapt, losses, synthdata
+from ttaseg.model import ModelConfig, SegModel
+from ttaseg.pretrain import sample_loss
 from ttaseg.tensor import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, DomainError, ParamGroup, Tensor,
                            adam_step, as_tensor, attention, concat, layer_norm, linear, log_softmax, no_grad)
 
@@ -613,10 +620,157 @@ def test_adam_weight_decay_is_coupled_l2():
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator policy is glibc's mallopt")
 def test_allocator_policy_applied_on_glibc():
-    assert ttaseg.MALLOPT_RESULTS == (1, 1)
+    assert ttaseg.MALLOPT_RESULTS == (1, 1, 1)
+
+
+_TURNS_SCRIPT = """
+import resource
+import threading
+
+import numpy as np
+
+import ttaseg  # noqa: F401  (applies the allocator policy)
+
+WORKERS, ROUNDS = 4, 3
+cond = threading.Condition()
+holder = [0]
+
+
+def work(k):
+    for _ in range(ROUNDS):
+        with cond:
+            cond.wait_for(lambda: holder[0] == k)
+        arrays = [np.ones(2**15) for _ in range(64)]  # 64 x 256 KiB = 16 MiB
+        del arrays
+        with cond:
+            holder[0] = (k + 1) % WORKERS
+            cond.notify_all()
+
+
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+threads = [threading.Thread(target=work, args=(k,)) for k in range(WORKERS)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator policy is glibc's mallopt")
+def test_threads_taking_turns_share_one_arena():
+    """Four live threads take turns allocating and freeing 16 MiB: with one
+    arena the peak grows by about 16 MiB, with one arena each by 64."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", _TURNS_SCRIPT], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert float(out.stdout) <= 24.0
 
 
 def test_as_tensor_passthrough():
     t = Tensor([1.0])
     assert as_tensor(t) is t
     assert isinstance(as_tensor(2.5), Tensor)
+
+
+# -- gradient ownership ----------------------------------------------------------
+
+
+def _copying_accum_owned(self, g):
+    """The reference for ``Tensor._accum_owned``: every first gradient is
+    copied, as ``Tensor._accum`` does."""
+    self._accum(g)
+
+
+def _recorded(monkeypatch, run):
+    """Run ``run()`` and return every tape node it built."""
+    created = []
+    node = Tensor._node.__func__
+
+    def recording(cls, *args):
+        t = node(cls, *args)
+        created.append(t)
+        return t
+
+    with monkeypatch.context() as m:
+        m.setattr(Tensor, "_node", classmethod(recording))
+        run()
+    return created
+
+
+def _sam_tta_step(monkeypatch):
+    """One ``sam-tta`` image: the trained tensors' gradients as ``adam_step``
+    receives them, and every tape node."""
+    engine = adapt.AdaptEngine(SegModel.build(ModelConfig(), seed=5),
+                               adapt.AdaptConfig(strategy="sam-tta", seed=0))
+    grads = []
+    step = adapt.adam_step
+
+    def recording_step(group, state, lr, weight_decay=0.0):
+        grads.extend((name, p.grad) for name, p in group.items())
+        step(group, state, lr, weight_decay)
+
+    sample = synthdata.gen_target(3, 1, "mri-like")[0]
+    with monkeypatch.context() as m:
+        m.setattr(adapt, "adam_step", recording_step)
+        nodes = _recorded(m, lambda: engine.process(sample))
+    assert grads and not engine.skipped
+    return grads, nodes
+
+
+def _pretrain_step(monkeypatch):
+    """One pretraining sample's backward: every weight's gradient, and
+    every tape node."""
+    model = SegModel.build(ModelConfig(), seed=5)
+    for p in model.params.values():
+        p.requires_grad = True
+    sample = synthdata.gen_source(4, 1)[0]
+    nodes = _recorded(monkeypatch, lambda: sample_loss(model, sample)[0].backward())
+    return [(name, p.grad) for name, p in model.params.items()], nodes
+
+
+def _x34():
+    return Tensor(np.random.default_rng(8).normal(size=(3, 4)), requires_grad=True)
+
+
+def _graph_step(build):
+    def step(monkeypatch):
+        x = _x34()
+        nodes = _recorded(monkeypatch, lambda: build(x).backward())
+        return [("x", x.grad)], nodes
+    return step
+
+
+_W34 = np.arange(1.0, 13.0).reshape(3, 4)
+_STEPS = {
+    "sam-tta": _sam_tta_step,
+    "pretrain": _pretrain_step,
+    "x+x": _graph_step(lambda x: ((x + x) * _W34).sum()),
+    "x-x": _graph_step(lambda x: ((x - x) * _W34 + x * x).sum()),
+    "concat": _graph_step(lambda x: (concat([x, x]) * np.vstack([_W34, -_W34 * 0.5])).sum()),
+    "reshape-transpose": _graph_step(
+        lambda x: (x.transpose().reshape(2, 6).transpose().reshape(3, 4) * _W34).sum()),
+    "transpose-matmul": _graph_step(lambda x: (x @ x.transpose()).sum() + (x * x).sum()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STEPS))
+def test_owned_gradients_are_bitwise_the_copies_and_never_shared(monkeypatch, name):
+    """Adopting fresh first gradients changes no bit of any gradient, leaf
+    or node, and after ``backward`` no two tensors' gradients share memory."""
+    leaves, nodes = _STEPS[name](monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(Tensor, "_accum_owned", _copying_accum_owned)
+        ref_leaves, ref_nodes = _STEPS[name](m)
+    got = leaves + [(t._op, t.grad) for t in nodes]
+    want = ref_leaves + [(t._op, t.grad) for t in ref_nodes]
+    assert [k for k, _ in got] == [k for k, _ in want]
+    for (key, a), (_, b) in zip(got, want):
+        if b is None:
+            assert a is None, key
+            continue
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), key
+    grads = [np.asarray(g) for _, g in got if g is not None]
+    for a, b in itertools.combinations(grads, 2):
+        assert not np.shares_memory(a, b)
