@@ -1,15 +1,11 @@
-"""Online test-time adaptation for a toy promptable segmenter."""
+"""Online test-time adaptation for a toy promptable segmenter.
+
+Importing the package only applies the allocator policy below; the API is in the submodules."""
 
 __version__ = "0.1.0"
 
 import ctypes
 import platform
-
-from .adapt import AdaptConfig, AdaptEngine, adapt_stream, ema_update, run_calibration
-from .model import ModelConfig, SegModel, SegOutputs, load_checkpoint, save_checkpoint
-from .sbct import SbctParams, init_identity, transform_color, transform_gray
-from .synthdata import BoxPrompt, StreamSample, gen_source, gen_target, oracle_box
-from .tensor import AdamState, ParamGroup, Tensor, adam_step, no_grad
 
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
@@ -52,30 +48,3 @@ def _set_allocator_policy():
 
 
 MALLOPT_RESULTS = _set_allocator_policy()
-
-__all__ = [
-    "AdaptConfig",
-    "AdaptEngine",
-    "AdamState",
-    "BoxPrompt",
-    "ModelConfig",
-    "ParamGroup",
-    "SbctParams",
-    "SegModel",
-    "SegOutputs",
-    "StreamSample",
-    "Tensor",
-    "adam_step",
-    "adapt_stream",
-    "ema_update",
-    "gen_source",
-    "gen_target",
-    "init_identity",
-    "load_checkpoint",
-    "no_grad",
-    "oracle_box",
-    "run_calibration",
-    "save_checkpoint",
-    "transform_color",
-    "transform_gray",
-]

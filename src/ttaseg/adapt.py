@@ -27,11 +27,9 @@ and is the curve-only calibration mode.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
-import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +80,8 @@ class AdaptConfig:
             raise ValueError(f"AdaptConfig: unknown strategy {self.strategy!r}")
         if self.steps_per_image < 1:
             raise ValueError("AdaptConfig: steps_per_image must be positive")
+        if self.seed < 0:
+            raise ValueError(f"AdaptConfig: seed must not be negative, got {self.seed}")
 
 
 def replicate_channels(image: np.ndarray) -> np.ndarray:
@@ -244,16 +244,15 @@ class AdaptEngine:
 
 
 def adapt_stream(model: SegModel, samples, config: AdaptConfig, out_dir, dump_sbct_dir=None) -> dict:
-    """Run a whole stream in order, writing predictions, metrics.csv,
-    the adapted checkpoint, and a replayable run.json. The returned
-    ``record`` is that file's stream record (image count, skips, summary
-    and the final curves) without the config and the wall clock."""
+    """Run a whole stream in order, writing predictions, metrics.csv and
+    the adapted checkpoint. The returned ``record`` (image count, skips,
+    summary and the final curves) is what ``ttaseg adapt`` stores under
+    ``result`` in its run.json; this function writes no run.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     engine = AdaptEngine(model, config)
     rows = []
     shape = None
-    t0 = time.time()
     for i, sample in enumerate(samples):
         if isinstance(sample, Exception):
             raise RuntimeError(f"adapt_stream: unreadable sample at index {i}") from sample
@@ -272,8 +271,6 @@ def adapt_stream(model: SegModel, samples, config: AdaptConfig, out_dir, dump_sb
     if engine.sbct is not None:
         record["sbct_u"] = engine.sbct.u.data.tolist()
         record["sbct_heights"] = engine.sbct.heights_array().tolist()
-    run_info = {"config": asdict(config), **record, "wall_clock_sec": time.time() - t0}
-    (out / "run.json").write_text(json.dumps(run_info, indent=2) + "\n")
     return {"rows": rows, "summary": summary, "record": record, "engine": engine, "out_dir": str(out)}
 
 

@@ -2,10 +2,11 @@
 
 Once a run starts, every subcommand writes a replayable run manifest
 (resolved config, seed, versions, paths, wall clock) before exiting, on
-success and on runtime failure. A usage error (an unknown flag or config
-key, or a value out of range) exits 1 before a run starts and writes no
-manifest. Config precedence for pretrain is defaults < config file < CLI
-flags. Exit codes: 0 success, 1 usage error, 2 runtime failure.
+success and on runtime failure; ``_execute`` is its only writer. A usage
+error (an unknown flag or config key, a value out of range, or a bad
+config file) exits 1 before a run starts and writes no manifest. Config
+precedence for pretrain is defaults < config file < CLI flags. Exit codes:
+0 success, 1 usage error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -79,6 +80,8 @@ def _execute(subcommand: str, run_path: Path, config: dict, inputs: dict, output
 def _cmd_gen(args) -> int:
     if args.n < 1:
         _usage_fail(f"n must be positive, got {args.n}")
+    if args.seed < 0:
+        _usage_fail(f"seed must not be negative, got {args.seed}")
     out = Path(args.out)
 
     def body():
@@ -92,14 +95,20 @@ def _cmd_gen(args) -> int:
 
 
 def _parse_config_file(path) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        _usage_fail(f"cannot read config file {path} ({type(exc).__name__})")
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            _usage_fail(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in values:
+            _usage_fail(f"{path}:{lineno}: key {key!r} given twice")
         values[key] = value
     return values
 
@@ -202,6 +211,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    if args.seed < 0:
+        _usage_fail(f"seed must not be negative, got {args.seed}")
     out = Path(args.out)
     modes = ("off", "sbct-only") if args.mode == "both" else (args.mode,)
 

@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 # the most point pairs one block of the nearest-boundary search holds
 HD95_BLOCK_PAIRS = 2**16
-
-CSV_HEADER = ["index", "dice", "hd95", "pred_iou", "true_iou", "l_icm", "l_dpc", "l_ifc", "lambda_dpc"]
 
 
 @dataclass
@@ -37,6 +35,10 @@ class MetricsRow:
     l_dpc: float
     l_ifc: float
     lambda_dpc: float
+
+
+# metrics.csv columns, in field order
+CSV_HEADER = [f.name for f in fields(MetricsRow)]
 
 
 def _as_bool(mask: np.ndarray) -> np.ndarray:

@@ -39,6 +39,8 @@ class PretrainConfig:
             raise ValueError("PretrainConfig: n_train must be positive")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ValueError(f"PretrainConfig: lr must be a positive finite number, got {self.lr!r}")
+        if self.seed < 0:
+            raise ValueError(f"PretrainConfig: seed must not be negative, got {self.seed}")
 
 
 def downsample_mask(gt: np.ndarray, factor: int) -> np.ndarray:
@@ -71,17 +73,13 @@ def evaluate(model: SegModel, samples) -> dict:
     return summary
 
 
-def pretrain(cfg: PretrainConfig, out_path, model_config: ModelConfig | None = None) -> dict:
+def pretrain(cfg: PretrainConfig, out_path) -> dict:
     """Train from scratch and write the best-validation checkpoint.
 
     Returns a summary dict (per-epoch validation Dice, final calibration).
     Aborts with RuntimeError if the loss goes non-finite.
     """
-    config = model_config or ModelConfig()
-    if config.image_size != synthdata.CANVAS:
-        raise ValueError(f"pretrain: model image_size {config.image_size} must match "
-                         f"the {synthdata.CANVAS}px generator canvas")
-    model = SegModel.build(config, cfg.seed)
+    model = SegModel.build(ModelConfig(), cfg.seed)
     train = synthdata.gen_source(cfg.seed, cfg.n_train)
     val = synthdata.gen_source(cfg.seed + VAL_SEED_OFFSET, cfg.n_val)
 

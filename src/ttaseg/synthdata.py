@@ -95,7 +95,6 @@ class SceneSpec:
     blur_sigma: float
     noise_sigma: float
     grayscale: bool
-    canvas: int = CANVAS
 
 
 def _rng(*key) -> np.random.Generator:
@@ -159,24 +158,23 @@ def _blob(rng: np.random.Generator, size: int, center, r0: float) -> np.ndarray:
 
 
 def _draw_mask(rng: np.random.Generator, spec: SceneSpec) -> np.ndarray:
-    size = spec.canvas
     while True:
-        center = rng.uniform(size * 0.3, size * 0.7, 2)
+        center = rng.uniform(CANVAS * 0.3, CANVAS * 0.7, 2)
         if spec.kind == "ellipse":
             a, b = rng.uniform(6.0, 18.0, 2)
             theta = rng.uniform(0.0, np.pi)
-            yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+            yy, xx = np.mgrid[0:CANVAS, 0:CANVAS].astype(np.float64)
             dy, dx = yy - center[0], xx - center[1]
             u = (dx * np.cos(theta) + dy * np.sin(theta)) / a
             v = (-dx * np.sin(theta) + dy * np.cos(theta)) / b
             mask = u * u + v * v <= 1.0
         elif spec.kind == "blob":
-            mask = _blob(rng, size, center, rng.uniform(7.0, 16.0))
+            mask = _blob(rng, CANVAS, center, rng.uniform(7.0, 16.0))
         else:  # lesion: blob plus an overlapping satellite
             r0 = rng.uniform(7.0, 14.0)
-            mask = _blob(rng, size, center, r0)
+            mask = _blob(rng, CANVAS, center, r0)
             offset = rng.uniform(-1.0, 1.0, 2) * r0
-            mask |= _blob(rng, size, center + offset, r0 * rng.uniform(0.3, 0.6))
+            mask |= _blob(rng, CANVAS, center + offset, r0 * rng.uniform(0.3, 0.6))
         if mask.sum() >= MIN_AREA:
             return mask
 
@@ -184,17 +182,16 @@ def _draw_mask(rng: np.random.Generator, spec: SceneSpec) -> np.ndarray:
 def render_scene(spec: SceneSpec):
     """Pre-degradation RGB rendering, returns (image (3,S,S), mask (S,S))."""
     rng = _rng(spec.stream_seed, spec.index, _TAG_GEOMETRY)
-    size = spec.canvas
-    field = _smooth_field(rng, size)
+    field = _smooth_field(rng, CANVAS)
     mask = _draw_mask(rng, spec)
     shade = rng.uniform(0.0, 0.3)
     ys, xs = np.nonzero(mask)
     cy, cx = ys.mean(), xs.mean()
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+    yy, xx = np.mgrid[0:CANVAS, 0:CANVAS].astype(np.float64)
     d = np.hypot(yy - cy, xx - cx)
     dmax = d[mask].max() if d[mask].size else 1.0
     radial = 1.0 - shade * d / max(dmax, 1.0)
-    img = np.empty((3, size, size))
+    img = np.empty((3, CANVAS, CANVAS))
     for c in range(3):
         img[c] = spec.bg_color[c] + spec.texture_amp * field
         img[c][mask] = (spec.obj_color[c] * radial)[mask]
@@ -204,7 +201,7 @@ def render_scene(spec: SceneSpec):
 def degrade(image: np.ndarray, spec: SceneSpec) -> np.ndarray:
     """Apply the shift recipe: grayscale, gamma, blur, then noise."""
     out = _LUMA @ image.reshape(3, -1) if spec.grayscale else image
-    out = out.reshape((spec.canvas, spec.canvas) if spec.grayscale else image.shape)
+    out = out.reshape((CANVAS, CANVAS) if spec.grayscale else image.shape)
     if spec.gamma != 1.0:
         out = out ** spec.gamma
     if spec.blur_sigma > 0:
@@ -218,18 +215,11 @@ def degrade(image: np.ndarray, spec: SceneSpec) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def _resolve_profile(profile) -> ShiftProfile:
-    if isinstance(profile, ShiftProfile):
-        return profile
-    try:
-        return PROFILES[profile]
-    except KeyError:
-        raise ValueError(f"unknown shift profile {profile!r}; known: {sorted(PROFILES)}") from None
-
-
-def generate(seed: int, n: int, profile) -> list:
-    """n StreamSamples drawn from the given profile, pure in (seed, index)."""
-    prof = _resolve_profile(profile)
+def generate(seed: int, n: int, profile: str) -> list:
+    """n StreamSamples drawn from the named profile, pure in (seed, index)."""
+    if profile not in PROFILES:
+        raise ValueError(f"unknown shift profile {profile!r}; known: {sorted(PROFILES)}")
+    prof = PROFILES[profile]
     samples = []
     for i in range(n):
         spec = sample_spec(seed, i, prof)
@@ -239,10 +229,10 @@ def generate(seed: int, n: int, profile) -> list:
 
 
 def gen_source(seed: int, n: int) -> list:
-    return generate(seed, n, PROFILES["source"])
+    return generate(seed, n, "source")
 
 
-def gen_target(seed: int, n: int, profile="mri-like") -> list:
+def gen_target(seed: int, n: int, profile: str) -> list:
     return generate(seed, n, profile)
 
 

@@ -128,10 +128,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
     def size(self) -> int:
         return self.data.size
 
@@ -354,8 +350,6 @@ class Tensor:
         return Tensor._node(a.data.reshape(shape), (a,), bw, "reshape")
 
     def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         if not axes:
             axes = tuple(reversed(range(self.data.ndim)))
         a = self

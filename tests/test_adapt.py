@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -30,6 +29,8 @@ def test_config_validation():
         AdaptConfig(strategy="cotta")
     with pytest.raises(ValueError, match="positive"):
         AdaptConfig(steps_per_image=0)
+    with pytest.raises(ValueError, match="seed must not be negative, got -1"):
+        AdaptConfig(seed=-1)
 
 
 def test_replicate_channels():
@@ -478,10 +479,11 @@ def test_adapt_stream_writes_all_outputs(base_model, tmp_path):
                           out, dump_sbct_dir=out / "sbct")
     assert sorted(p.name for p in out.glob("pred_*.pgm")) == [f"pred_{i:05d}.pgm" for i in range(4)]
     assert (out / "metrics.csv").exists() and (out / "adapted.ckpt").exists()
-    run = json.loads((out / "run.json").read_text())
-    assert run["config"]["strategy"] == "sam-tta"
-    assert run["n_images"] == 4
-    assert "sbct_u" in run and len(run["sbct_u"]) == 3
+    assert not (out / "run.json").exists()  # the CLI alone writes run.json
+    record = result["record"]
+    assert result["engine"].cfg.strategy == "sam-tta"
+    assert record["n_images"] == 4
+    assert "sbct_u" in record and len(record["sbct_u"]) == 3
     assert (out / "sbct" / "sbct_00003.csv").exists()
     assert (out / "sbct" / "composite_00003.ppm").exists()
     assert len(result["rows"]) == 4

@@ -85,22 +85,50 @@ def test_pretrain_rejects_unknown_config_key(tmp_path):
     assert run("pretrain", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")) == 1
 
 
+MISSING = object()  # a --config path where no file exists
+SMALL = ["--epochs", "1", "--n-val", "2", "--n-train", "2"]
+
+
 @pytest.mark.parametrize("file_text, flags, key", [
     ("epochs = abc\n", [], "'epochs'"),
+    ("epochs 1\n", [], "pretrain.cfg:1: expected key=value"),
+    (MISSING, [], "pretrain.cfg (FileNotFoundError)"),
+    (b"epochs = \xff\n", [], "pretrain.cfg (UnicodeDecodeError)"),
+    ("epochs = 1\nn_val = 2\nepochs = 2\n", SMALL[2:], "pretrain.cfg:3: key 'epochs' given twice"),
+    ("seed = -1\n", SMALL, "seed must not be negative"),
     (None, ["--n-val", "0"], "n_val"),
     (None, ["--epochs", "0"], "epochs"),
     (None, ["--epochs", "1", "--n-val", "2", "--n-train", "0"], "n_train"),
     (None, ["--epochs", "1", "--n-val", "2", "--n-train", "2", "--lr", "-1"], "lr"),
     (None, ["--epochs", "1", "--n-val", "2", "--n-train", "2", "--lr", "nan"], "lr"),
-], ids=["value-not-an-int", "no-validation-samples", "zero-epochs", "no-training-samples",
+], ids=["value-not-an-int", "line-without-equals", "missing-file", "not-utf8", "key-given-twice",
+        "negative-seed-in-file", "no-validation-samples", "zero-epochs", "no-training-samples",
         "negative-lr", "nan-lr"])
 def test_pretrain_bad_config_is_usage_error_naming_the_key(tmp_path, capsys, file_text, flags, key):
     if file_text is not None:
-        (tmp_path / "pretrain.cfg").write_text(file_text)
+        if file_text is not MISSING:
+            data = file_text if isinstance(file_text, bytes) else file_text.encode()
+            (tmp_path / "pretrain.cfg").write_bytes(data)
         flags = ["--config", str(tmp_path / "pretrain.cfg"), *flags]
     assert run("pretrain", *flags, "--out", str(tmp_path / "m.ckpt")) == 1
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err and err.startswith("ttaseg: error:")
     assert not (tmp_path / "m.ckpt").exists()
+    assert not (tmp_path / "m.ckpt.run.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--profile", "source", "--n", "1"],
+    ["pretrain", *SMALL],
+    ["adapt", "--checkpoint", "x", "--manifest", "y", "--strategy", "none"],
+    ["adapt", "--checkpoint", "x", "--manifest", "y", "--strategy", "sam-tta"],
+    ["calibrate", "--checkpoint", "x", "--manifest", "y"],
+], ids=["gen", "pretrain", "adapt-none", "adapt-sam-tta", "calibrate"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert run(*argv, "--seed", "-1", "--out", str(out)) == 1
+    assert "seed must not be negative, got -1" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "o.run.json").exists()
 
 
 def _make_pipeline(tmp_path, n_adapt=4):
@@ -173,6 +201,20 @@ def test_adapt_run_json_holds_this_run_only(tmp_path):
     assert second["status"] == "error" and second["config"]["strategy"] == "none"
     assert set(second) == {"subcommand", "config", "seed", "versions", "inputs", "outputs",
                            "status", "error", "wall_clock_sec"}
+
+
+def test_adapt_run_json_lists_a_skipped_image(tmp_path):
+    """The run record of a stream with a skipped image reaches run.json."""
+    data, ckpt = _make_pipeline(tmp_path, n_adapt=3)
+    # zero the 64x64 payload: an all-background mask gives no prompt
+    (data / "mask_00001.pgm").write_bytes((data / "mask_00001.pgm").read_bytes()[:-64 * 64]
+                                          + bytes(64 * 64))
+    out = tmp_path / "adapted"
+    assert run("adapt", "--checkpoint", str(ckpt), "--manifest", str(data / "manifest.csv"),
+               "--strategy", "sam-tta", "--seed", "0", "--out", str(out)) == 0
+    manifest = json.loads((out / "run.json").read_text())
+    assert manifest["status"] == "success" and manifest["result"]["n_images"] == 3
+    assert manifest["result"]["skipped"] == [{"index": 1, "reason": "empty ground-truth mask, no prompt"}]
 
 
 def test_eval_missing_prediction_is_runtime_error(tmp_path):

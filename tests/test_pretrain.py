@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import CONFIG16, PINNED, assert_same_loss_and_grads, bce_composed, loss_and_grads
+from conftest import PINNED, assert_same_loss_and_grads, bce_composed, loss_and_grads
 from ttaseg import losses, synthdata
 from ttaseg.model import load_checkpoint
 from ttaseg.pretrain import VAL_SEED_OFFSET, PretrainConfig, downsample_mask, evaluate, pretrain, sample_loss
@@ -21,6 +21,8 @@ def test_config_validation():
     for lr in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="lr"):
             PretrainConfig(lr=lr)
+    with pytest.raises(ValueError, match="seed must not be negative, got -1"):
+        PretrainConfig(seed=-1)
 
 
 def test_downsample_mask_block_average():
@@ -113,11 +115,6 @@ def test_divergence_aborts_with_epoch(tmp_path, monkeypatch):
     monkeypatch.setattr(pt, "sample_loss", bad_loss)
     with pytest.raises(RuntimeError, match="epoch 0"):
         pt.pretrain(TINY, tmp_path / "m.ckpt")
-
-
-def test_pretrain_rejects_mismatched_canvas(tmp_path):
-    with pytest.raises(ValueError, match="canvas"):
-        pretrain(TINY, tmp_path / "m.ckpt", model_config=CONFIG16)
 
 
 def _sample16():
