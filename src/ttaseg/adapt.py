@@ -36,7 +36,7 @@ import numpy as np
 
 from . import losses, metrics, netpbm, sbct, synthdata
 from .model import SegModel, save_checkpoint
-from .tensor import AdamState, ParamGroup, Tensor, adam_step, no_grad
+from .tensor import ParamGroup, Tensor, _stable_sigmoid, adam_step, no_grad
 
 log = logging.getLogger("ttaseg.adapt")
 
@@ -90,13 +90,22 @@ def replicate_channels(image: np.ndarray) -> np.ndarray:
     return np.stack([image] * 3) if image.ndim == 2 else image
 
 
-def ema_update(teacher: dict, student: dict, alpha: float):
-    """teacher <- alpha * teacher + (1 - alpha) * student, over named tensors."""
-    if teacher.keys() != student.keys():
-        raise ValueError("ema_update: parameter tree mismatch")
-    for name in sorted(teacher):
-        t = teacher[name]
-        t.data = alpha * t.data + (1.0 - alpha) * student[name].data
+def ema_update(teacher: ParamGroup, student: ParamGroup, alpha: float):
+    """teacher <- alpha * teacher + (1 - alpha) * student, one expression
+    over the two groups' vectors, which must be laid out alike."""
+    if teacher.layout != student.layout:
+        raise ValueError(f"ema_update: parameter tree mismatch, {_layout_difference(teacher, student)}")
+    teacher.flat[...] = alpha * teacher.flat + (1.0 - alpha) * student.flat
+
+
+def _layout_difference(teacher: ParamGroup, student: ParamGroup) -> str:
+    t, s = dict(teacher.layout), dict(student.layout)
+    if t.keys() != s.keys():
+        return (f"names only in the teacher {sorted(t.keys() - s.keys())}, "
+                f"only in the student {sorted(s.keys() - t.keys())}")
+    if list(t) != list(s):
+        return f"the same names in another order: teacher {list(t)}, student {list(s)}"
+    return next(f"{n!r} has shape {t[n]} in the teacher, {s[n]} in the student" for n in t if t[n] != s[n])
 
 
 def _bad_pixels(image: np.ndarray) -> bool:
@@ -112,41 +121,39 @@ class AdaptEngine:
         self.spec = spec = STRATEGY_TABLE[config.strategy]
 
         self.student = base_model.clone()
-        self.student.set_trainable(lambda name: False)
         if spec.adapters:
             self.student.attach_lora(config.seed)
             self.student.set_trainable(lambda name: ".lora_" in name or name.startswith("prompt."))
-        self.sbct = sbct.init_identity() if spec.curves else None
-        # the two optimizer groups, each laid out in one vector; either may be empty
-        self.curves = ParamGroup({"sbct.u": self.sbct.u} if spec.curves else {})
+        # the two optimizer groups, each laid out in one vector with its own
+        # Adam moments; either may be empty
+        self.curves = ParamGroup({"sbct.u": sbct.init_identity()} if spec.curves else {})
         self.adapters = ParamGroup(self.student.trainable())
-        self.teacher = self.teacher_sbct = self.ema_pair = None
+        self.sbct_u = self.curves.get("sbct.u")  # the (3, 4) curve scalars, or None
+        # the teacher's EMA'd tensors (its LoRA+prompt copies, or its own
+        # curves), laid out like the student group they follow
+        self.teacher = self.teacher_group = self.teacher_u = None
         if spec.teacher:
             self.teacher = self.student.clone()
-            self.teacher.set_trainable(lambda name: False)
-            # (teacher tensors, student tensors) that the EMA averages
             if spec.teacher == "weights":
-                self.ema_pair = ({n: self.teacher.params[n] for n in self.adapters}, self.adapters)
+                self.teacher_group = ParamGroup({n: self.teacher.params[n] for n in self.adapters})
             else:
-                self.teacher_sbct = sbct.SbctParams(Tensor(self.sbct.u.data))
-                self.ema_pair = ({"sbct.u": self.teacher_sbct.u}, self.curves)
+                self.teacher_group = ParamGroup({"sbct.u": Tensor(self.sbct_u.data)})
+                self.teacher_u = self.teacher_group["sbct.u"]
 
-        self.opt_sbct = AdamState()
-        self.opt_model = AdamState()
         self.running_max = losses.RunningMax()
         self.index = 0
         self.skipped = []
         self.records = []  # one LossBreakdown per completed update step
 
     def _student_input(self, image: np.ndarray) -> Tensor:
-        if self.sbct is not None:
-            return sbct.transform(image, self.sbct)
+        if self.sbct_u is not None:
+            return sbct.transform(image, self.sbct_u)
         return Tensor(replicate_channels(image))
 
     def _teacher_forward(self, image: np.ndarray, x_student: Tensor, box):
         with no_grad():
             # the curves teacher remaps through its own curves
-            x = x_student.detach() if self.teacher_sbct is None else sbct.transform(image, self.teacher_sbct)
+            x = x_student.detach() if self.teacher_u is None else sbct.transform(image, self.teacher_u)
             return self.teacher.forward(x, box)
 
     def _train_step(self, sample: synthdata.StreamSample):
@@ -176,11 +183,12 @@ class AdaptEngine:
                 p.grad = None
             return s_out, None, "non-finite gradient"
         if self.curves:
-            adam_step(self.curves, self.opt_sbct, LR_SBCT)
+            adam_step(self.curves, LR_SBCT)
         if self.adapters:
-            adam_step(self.adapters, self.opt_model, LR_LORA_PROMPT, WEIGHT_DECAY)
-        if self.ema_pair is not None:
-            ema_update(*self.ema_pair, EMA_ALPHA)
+            adam_step(self.adapters, LR_LORA_PROMPT, WEIGHT_DECAY)
+        if self.teacher_group is not None:
+            followed = self.curves if self.spec.teacher == "curves" else self.adapters
+            ema_update(self.teacher_group, followed, EMA_ALPHA)
         self.records.append(breakdown)
         return s_out, breakdown, None
 
@@ -189,8 +197,8 @@ class AdaptEngine:
         i = self.index
         self.index += 1
         if self.cfg.reset_optimizer:
-            self.opt_sbct = AdamState()
-            self.opt_model = AdamState()
+            self.curves.reset_moments()
+            self.adapters.reset_moments()
 
         # checked before any forward, the same way for every strategy
         reason = ("empty ground-truth mask, no prompt" if sample.box is None
@@ -229,17 +237,17 @@ class AdaptEngine:
         """Diagnostic export: curve samples as CSV plus the image remapped
         through the curves as a pseudo-color composite. An image with bad
         pixels gets no composite."""
-        if self.sbct is None:
+        if self.sbct_u is None:
             return
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        samples = sbct.curve_samples(self.sbct)
+        samples = sbct.curve_samples(self.sbct_u)
         lines = ["t,c1,c2,c3"]
         lines += [",".join(repr(v) for v in row) for row in samples]
         (out / f"sbct_{index:05d}.csv").write_text("\n".join(lines) + "\n")
         if not _bad_pixels(image):
             with no_grad():
-                composite = sbct.transform(image, self.sbct).data
+                composite = sbct.transform(image, self.sbct_u).data
             netpbm.write_ppm(out / f"composite_{index:05d}.ppm", composite)
 
 
@@ -268,9 +276,10 @@ def adapt_stream(model: SegModel, samples, config: AdaptConfig, out_dir, dump_sb
     save_checkpoint(engine.student, out / "adapted.ckpt")
     summary = metrics.summarize(rows, metrics.hd95_sentinel(shape))
     record = {"n_images": len(rows), "skipped": engine.skipped, "summary": summary}
-    if engine.sbct is not None:
-        record["sbct_u"] = engine.sbct.u.data.tolist()
-        record["sbct_heights"] = engine.sbct.heights_array().tolist()
+    if engine.sbct_u is not None:
+        record["sbct_u"] = engine.sbct_u.data.tolist()
+        # sbct.heights' values, formed off the tape
+        record["sbct_heights"] = _stable_sigmoid(engine.sbct_u.data).tolist()
     return {"rows": rows, "summary": summary, "record": record, "engine": engine, "out_dir": str(out)}
 
 
@@ -289,7 +298,8 @@ def load_stream(manifest_path):
 
 def run_calibration(model: SegModel, samples, seed: int, modes=("off", "sbct-only")) -> dict:
     """Correlation between the model's IoU estimate and true IoU with the
-    model frozen, input curves either fixed (off) or adapted (sbct-only)."""
+    model frozen, input curves either fixed (off) or adapted (sbct-only).
+    An undefined correlation, and a delta taken from one, is None."""
     report = {"seed": seed, "n": len(samples), "modes": {}}
     for mode in modes:
         if mode not in ("off", "sbct-only"):
@@ -297,11 +307,8 @@ def run_calibration(model: SegModel, samples, seed: int, modes=("off", "sbct-onl
         strategy = "none" if mode == "off" else "sbct-only"
         engine = AdaptEngine(model, AdaptConfig(strategy=strategy, seed=seed))
         rows = [engine.process(s)[1] for s in samples]
-        pairs = [(r.pred_iou, r.true_iou) for r in rows
-                 if math.isfinite(r.pred_iou) and math.isfinite(r.true_iou)]
-        r_val = metrics.pearson_r([p for p, _ in pairs], [t for _, t in pairs])
-        report["modes"][mode] = {"pearson_r": r_val, "rows": rows}
+        report["modes"][mode] = {"pearson_r": metrics.iou_correlation(rows), "rows": rows}
     if {"off", "sbct-only"} <= set(report["modes"]):
-        report["delta"] = (report["modes"]["sbct-only"]["pearson_r"]
-                           - report["modes"]["off"]["pearson_r"])
+        r_off, r_on = (report["modes"][m]["pearson_r"] for m in ("off", "sbct-only"))
+        report["delta"] = None if r_off is None or r_on is None else r_on - r_off
     return report

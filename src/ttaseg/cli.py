@@ -24,8 +24,6 @@ import numpy as np
 from . import __version__, adapt, metrics, netpbm, pretrain, synthdata
 from .model import load_checkpoint
 
-COMMANDS = ("gen", "pretrain", "adapt", "eval", "calibrate")
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to exit code 1."""
@@ -141,10 +139,9 @@ def _cmd_pretrain(args) -> int:
 
     def body():
         summary = pretrain.pretrain(cfg, out)
-        r = summary["final_val_pearson_r"]
         print(f"pretrained: best_val_dice={summary['best_val_dice']:.4f} "
-              f"val_iou_r={'undefined' if r is None else f'{r:.4f}'} -> {out}")
-        return {k: v for k, v in summary.items() if k != "rows"}
+              f"val_iou_r={metrics.format_value(summary['final_val_pearson_r'])} -> {out}")
+        return summary
 
     return _execute("pretrain", out.with_suffix(out.suffix + ".run.json"), asdict(cfg),
                     {"config_file": args.config}, {"checkpoint": str(out)}, body)
@@ -226,10 +223,10 @@ def _cmd_calibrate(args) -> int:
             tag = mode.replace("-", "_")
             metrics.write_metrics_csv(entry["rows"], out / f"metrics_{tag}.csv")
             payload["modes"][mode] = {"pearson_r": entry["pearson_r"]}
-            print(f"mode={mode}: pearson_r={entry['pearson_r']:.4f}")
+            print(f"mode={mode}: pearson_r={metrics.format_value(entry['pearson_r'])}")
         if "delta" in report:
             payload["delta"] = report["delta"]
-            print(f"delta={report['delta']:.4f}")
+            print(f"delta={metrics.format_value(report['delta'])}")
         (out / "calibration.json").write_text(json.dumps(payload, indent=2) + "\n")
         return payload
 
@@ -243,16 +240,23 @@ def _cmd_calibrate(args) -> int:
 
 
 def build_parser() -> _Parser:
+    """The one table of subcommands: each subparser carries its handler.
+    ``parser.commands`` names them."""
     parser = _Parser(prog="ttaseg", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    p = sub.add_parser("gen", help="generate a synthetic dataset")
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("gen", _cmd_gen, "generate a synthetic dataset")
     p.add_argument("--profile", required=True, choices=sorted(synthdata.PROFILES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("pretrain", help="train the source checkpoint")
+    p = command("pretrain", _cmd_pretrain, "train the source checkpoint")
     p.add_argument("--config", default=None, help="key=value file; flags override")
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int)
@@ -261,7 +265,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n-train", dest="n_train", type=int)
     p.add_argument("--n-val", dest="n_val", type=int)
 
-    p = sub.add_parser("adapt", help="run a test-time adaptation stream")
+    p = command("adapt", _cmd_adapt, "run a test-time adaptation stream")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--strategy", required=True, choices=adapt.STRATEGIES)
@@ -271,29 +275,30 @@ def build_parser() -> _Parser:
     p.add_argument("--dump-sbct", dest="dump_sbct", default=None)
     p.add_argument("--reset-optimizer", dest="reset_optimizer", action="store_true")
 
-    p = sub.add_parser("eval", help="score saved predictions against a manifest")
+    p = command("eval", _cmd_eval, "score saved predictions against a manifest")
     p.add_argument("--pred", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("calibrate", help="IoU-estimate calibration, frozen vs curve-adapted input")
+    p = command("calibrate", _cmd_calibrate, "IoU-estimate calibration, frozen vs curve-adapted input")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--mode", default="both", choices=("off", "sbct-only", "both"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
+    parser.commands = tuple(sub.choices)
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and not argv[0].startswith("-") and argv[0] not in COMMANDS:
-        guess = difflib.get_close_matches(argv[0], COMMANDS, n=1)
+    parser = build_parser()
+    if argv and not argv[0].startswith("-") and argv[0] not in parser.commands:
+        guess = difflib.get_close_matches(argv[0], parser.commands, n=1)
         hint = f" (did you mean {guess[0]!r}?)" if guess else ""
         print(f"ttaseg: error: unknown subcommand {argv[0]!r}{hint}", file=sys.stderr)
         return 1
-    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -301,15 +306,8 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 0
-    handler = {
-        "gen": _cmd_gen,
-        "pretrain": _cmd_pretrain,
-        "adapt": _cmd_adapt,
-        "eval": _cmd_eval,
-        "calibrate": _cmd_calibrate,
-    }[args.command]
     try:
-        return handler(args)
+        return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
 

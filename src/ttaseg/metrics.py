@@ -165,6 +165,18 @@ def pearson_r(x, y) -> float:
     return float(xc @ yc) / math.sqrt(sx * sy)
 
 
+def iou_correlation(rows) -> float | None:
+    """Pearson r between predicted and true IoU over the rows where both
+    are finite; None where it is undefined (fewer than two such rows, or
+    no spread on one side)."""
+    pairs = [(r.pred_iou, r.true_iou) for r in rows
+             if math.isfinite(r.pred_iou) and math.isfinite(r.true_iou)]
+    try:
+        return pearson_r([p for p, _ in pairs], [t for _, t in pairs])
+    except ValueError:
+        return None
+
+
 # -- reporting ----------------------------------------------------------------
 
 
@@ -195,23 +207,21 @@ def summarize(rows, sentinel: float) -> dict:
         raise ValueError("summarize: no rows")
     dices = [r.dice for r in rows]
     defined = [r.hd95 for r in rows if math.isfinite(r.hd95) and r.hd95 < sentinel]
-    pairs = [(r.pred_iou, r.true_iou) for r in rows
-             if math.isfinite(r.pred_iou) and math.isfinite(r.true_iou)]
-    try:
-        r_val = pearson_r([p for p, _ in pairs], [t for _, t in pairs]) if len(pairs) >= 2 else None
-    except ValueError:
-        r_val = None
     return {
         "n": len(rows),
         "mean_dice": float(np.mean(dices)),
         "mean_hd95": float(np.mean(defined)) if defined else None,
         "hd95_excluded": len(rows) - len(defined),
-        "pearson_r": r_val,
+        "pearson_r": iou_correlation(rows),
     }
 
 
+def format_value(value: float | None) -> str:
+    """A reported figure to four places, or ``undefined`` for None."""
+    return "undefined" if value is None else f"{value:.4f}"
+
+
 def format_summary(summary: dict) -> str:
-    hd = "undefined" if summary["mean_hd95"] is None else f"{summary['mean_hd95']:.4f}"
-    r = "undefined" if summary["pearson_r"] is None else f"{summary['pearson_r']:.4f}"
     return (f"n={summary['n']} mean_dice={summary['mean_dice']:.4f} "
-            f"mean_hd95={hd} (excluded {summary['hd95_excluded']}) pearson_r={r}")
+            f"mean_hd95={format_value(summary['mean_hd95'])} (excluded {summary['hd95_excluded']}) "
+            f"pearson_r={format_value(summary['pearson_r'])}")

@@ -153,12 +153,8 @@ class SegModel:
         return cls(config, _init_params(config, np.random.default_rng([seed, 23])))
 
     def clone(self) -> "SegModel":
-        params = {}
-        for name, p in self.params.items():
-            t = Tensor(p.data)
-            t.requires_grad = p.requires_grad
-            params[name] = t
-        return SegModel(self.config, params)
+        """A copy with storage of its own and every tensor frozen."""
+        return SegModel(self.config, {name: Tensor(p.data) for name, p in self.params.items()})
 
     @property
     def has_lora(self) -> bool:

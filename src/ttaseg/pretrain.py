@@ -16,7 +16,7 @@ import numpy as np
 
 from . import adapt, losses, metrics, synthdata
 from .model import ModelConfig, SegModel, save_checkpoint
-from .tensor import AdamState, ParamGroup, adam_step
+from .tensor import ParamGroup, adam_step
 
 # fixed offset separating the held-out validation stream from training data
 VAL_SEED_OFFSET = 500_009
@@ -67,10 +67,7 @@ def evaluate(model: SegModel, samples) -> dict:
     ``none`` strategy: mean Dice and IoU-head calibration."""
     engine = adapt.AdaptEngine(model, adapt.AdaptConfig(strategy="none"))
     rows = [engine.process(s)[1] for s in samples]
-    sentinel = metrics.hd95_sentinel(samples[0].gt_mask.shape)
-    summary = metrics.summarize(rows, sentinel)
-    summary["rows"] = rows
-    return summary
+    return metrics.summarize(rows, metrics.hd95_sentinel(samples[0].gt_mask.shape))
 
 
 def pretrain(cfg: PretrainConfig, out_path) -> dict:
@@ -86,7 +83,6 @@ def pretrain(cfg: PretrainConfig, out_path) -> dict:
     for p in model.params.values():
         p.requires_grad = True
     group = ParamGroup(model.params)
-    state = AdamState()
 
     best = None
     best_flat = None
@@ -98,7 +94,7 @@ def pretrain(cfg: PretrainConfig, out_path) -> dict:
             if not math.isfinite(float(loss.data)):
                 raise RuntimeError(f"pretrain: non-finite loss at epoch {epoch}, sample {int(idx)}")
             loss.backward()
-            adam_step(group, state, cfg.lr)
+            adam_step(group, cfg.lr)
         val_summary = evaluate(model, val)
         history.append(val_summary["mean_dice"])
         if best is None or val_summary["mean_dice"] > best["mean_dice"]:
@@ -106,8 +102,6 @@ def pretrain(cfg: PretrainConfig, out_path) -> dict:
             best_flat = group.flat.copy()
 
     group.flat[...] = best_flat
-    for p in group.values():
-        p.requires_grad = False
     save_checkpoint(model, out_path)
     # evaluation is deterministic, so the best epoch's summary is what
     # re-scoring the restored parameters on the same samples would give

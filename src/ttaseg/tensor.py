@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -27,7 +26,6 @@ __all__ = [
     "attention",
     "log_softmax",
     "no_grad",
-    "AdamState",
     "ParamGroup",
     "adam_step",
 ]
@@ -542,17 +540,22 @@ ADAM_EPS = 1e-8  # added to the root of the second moment
 
 class ParamGroup(dict):
     """Named tensors whose ``.data`` are views into one contiguous float64
-    vector, ``flat``, laid out in the mapping's order.
+    vector, ``flat``, laid out in the mapping's order, together with the
+    group's Adam state: the step count and the moments ``m`` and ``v``,
+    laid out like ``flat``.
 
     Forming the group copies each member's values into ``flat`` and rebinds
-    the member's ``.data`` to its view, so one optimizer step over the group
-    is a few whole-vector operations. Afterwards a member is updated in
-    place; rebinding its ``.data`` detaches it from the group, and
-    ``adam_step`` refuses it.
+    the member's ``.data`` to its view, so one optimizer step or one EMA
+    step over the group is a few whole-vector operations. Afterwards a
+    member is updated in place; rebinding its ``.data`` detaches it from
+    the group, and ``adam_step`` refuses it. ``layout`` (each name with its
+    shape, in order) says which groups' vectors line up element for
+    element.
     """
 
     def __init__(self, params: Mapping[str, Tensor]):
         super().__init__(params)
+        self.layout = tuple((name, p.data.shape) for name, p in self.items())
         self.flat = np.empty(sum(p.data.size for p in self.values()))
         offset = 0
         for p in self.values():
@@ -560,20 +563,20 @@ class ParamGroup(dict):
             view[...] = p.data
             p.data = view
             offset += view.size
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self.step = 0
+
+    def reset_moments(self):
+        """Forget the Adam state in place: step 0, zero moments."""
+        self.step = 0
+        self.m[...] = 0.0
+        self.v[...] = 0.0
 
 
-@dataclass
-class AdamState:
-    """First/second moment estimates of one parameter group, laid out like
-    its ``flat``; the first step allocates them."""
-
-    step: int = 0
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
-
-
-def adam_step(params: ParamGroup, state: AdamState, lr: float, weight_decay: float = 0.0):
-    """One Adam update over a parameter group; clears gradients.
+def adam_step(params: ParamGroup, lr: float, weight_decay: float = 0.0):
+    """One Adam update over a parameter group and its own moments; clears
+    gradients.
 
     Weight decay is classic L2 added to the gradient before the moment
     updates (coupled form). The whole-vector in-place operations replay the
@@ -591,19 +594,14 @@ def adam_step(params: ParamGroup, state: AdamState, lr: float, weight_decay: flo
             raise ValueError(f"adam_step: parameter {name!r} is not a view of its group's vector "
                              f"(its .data was rebound); update it in place")
         grads.append(p.grad.reshape(-1))
-    if state.m is None:
-        state.m = np.zeros_like(flat)
-        state.v = np.zeros_like(flat)
-    elif state.m.shape != flat.shape:
-        raise ValueError(f"adam_step: stale moments of {state.m.size} values for a group of {flat.size}")
     g = np.concatenate(grads)
     if weight_decay:
         g += weight_decay * flat
-    state.step += 1
+    params.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    c1 = 1.0 - b1 ** state.step
-    c2 = 1.0 - b2 ** state.step
-    m, v = state.m, state.v
+    c1 = 1.0 - b1 ** params.step
+    c2 = 1.0 - b2 ** params.step
+    m, v = params.m, params.v
     m *= b1
     t = (1.0 - b1) * g
     m += t

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from ttaseg.adapt import (AdaptConfig, AdaptEngine, adapt_stream, ema_update, lo
                           replicate_channels, run_calibration)
 from ttaseg.model import ModelConfig, SegModel, save_checkpoint
 from ttaseg.synthdata import StreamSample
-from ttaseg.tensor import no_grad
+from ttaseg.tensor import ParamGroup, Tensor, no_grad
 
 
 @pytest.fixture()
@@ -46,41 +47,110 @@ def test_replicate_channels():
 # -- EMA -----------------------------------------------------------------------
 
 
+def _groups(model):
+    """Teacher and student groups over two clones of every tensor of ``model``."""
+    return ParamGroup(model.clone().params), ParamGroup(model.clone().params)
+
+
 def test_ema_single_value(base_model):
-    teacher = base_model.clone()
-    student = base_model.clone()
-    teacher.params["pos_embed"].data[:] = 1.0
-    student.params["pos_embed"].data[:] = 0.0
-    ema_update(teacher.params, student.params, 0.95)
-    assert np.allclose(teacher.params["pos_embed"].data, 0.95, atol=0)
+    teacher, student = _groups(base_model)
+    teacher["pos_embed"].data[:] = 1.0
+    student["pos_embed"].data[:] = 0.0
+    ema_update(teacher, student, 0.95)
+    assert np.allclose(teacher["pos_embed"].data, 0.95, atol=0)
 
 
 def test_ema_geometric_decay_per_step_accuracy(base_model):
-    teacher = base_model.clone()
-    student = base_model.clone()
-    teacher.params["pos_embed"].data[:] = 1.0
-    student.params["pos_embed"].data[:] = 0.0
+    teacher, student = _groups(base_model)
+    teacher["pos_embed"].data[:] = 1.0
+    student["pos_embed"].data[:] = 0.0
     alpha, n = 0.95, 100
     for _ in range(n):
-        ema_update(teacher.params, student.params, alpha)
+        ema_update(teacher, student, alpha)
     predicted = alpha**n
-    assert np.max(np.abs(teacher.params["pos_embed"].data - predicted)) <= n * 1e-12
+    assert np.max(np.abs(teacher["pos_embed"].data - predicted)) <= n * 1e-12
 
 
 def test_ema_alpha_zero_copies_student(base_model):
-    teacher = base_model.clone()
-    student = base_model.clone()
-    student.params["pos_embed"].data[:] = 7.0
-    ema_update(teacher.params, student.params, 0.0)
-    assert np.array_equal(teacher.params["pos_embed"].data, student.params["pos_embed"].data)
+    teacher, student = _groups(base_model)
+    student["pos_embed"].data[:] = 7.0
+    ema_update(teacher, student, 0.0)
+    assert np.array_equal(teacher["pos_embed"].data, student["pos_embed"].data)
+    assert np.array_equal(teacher.flat, student.flat)
 
 
 def test_ema_tree_mismatch_rejected(base_model):
     teacher = base_model.clone()
     student = base_model.clone()
     student.attach_lora(seed=0)
-    with pytest.raises(ValueError, match="tree mismatch"):
-        ema_update(teacher.params, student.params, 0.95)
+    with pytest.raises(ValueError, match="tree mismatch, names only in the teacher \\[\\], only in the student "
+                                         "\\['enc0.attn.q.lora_a'"):
+        ema_update(ParamGroup(teacher.params), ParamGroup(student.params), 0.95)
+
+
+def _group(**shapes):
+    return ParamGroup({name: Tensor(np.ones(shape)) for name, shape in shapes.items()})
+
+
+@pytest.mark.parametrize("teacher, student, problem", [
+    (_group(a=(2,), b=(3,)), _group(b=(3,), a=(2,)),
+     "the same names in another order: teacher \\['a', 'b'\\], student \\['b', 'a'\\]"),
+    (_group(a=(2,), b=(3,)), _group(a=(3,), b=(2,)),
+     "'a' has shape \\(2,\\) in the teacher, \\(3,\\) in the student"),
+    (_group(a=(1,), b=(3,)), _group(a=(3,), b=(3,)),
+     "'a' has shape \\(1,\\) in the teacher, \\(3,\\) in the student"),
+    (_group(a=(2, 3)), _group(a=(3, 2)),
+     "'a' has shape \\(2, 3\\) in the teacher, \\(3, 2\\) in the student"),
+], ids=["order", "sizes-swapped", "size-broadcastable", "same-size-other-shape"])
+def test_ema_rejects_groups_laid_out_differently(teacher, student, problem):
+    """The EMA runs over the two groups' whole vectors, so they must line up
+    element for element: a difference in order or in size is named, and
+    nothing is averaged."""
+    before = teacher.flat.copy()
+    with pytest.raises(ValueError, match=f"ema_update: parameter tree mismatch, {problem}"):
+        ema_update(teacher, student, 0.5)
+    assert np.array_equal(teacher.flat, before)
+
+
+# -- tape-node guard -------------------------------------------------------------
+
+# tape nodes one image builds, (created, taped), on SegModel.build(ModelConfig(), 5)
+# and synthdata.gen_target(3, 4, "mri-like"); the same on every image. Unlike
+# timings they are deterministic, so a change in the graph fails here.
+NODES_PER_IMAGE = {
+    "none": (67, 0),
+    "tent": (146, 72),
+    "mean-teacher": (204, 63),
+    "sam-tta": (237, 90),
+    "sbct-only": (216, 66),
+}
+SAM_TTA_TAPED_BY_OP = {
+    "add": 10, "attention": 3, "concat": 1, "cos": 1, "exp": 1, "gelu": 5, "layer_norm": 5,
+    "linear": 27, "log": 1, "matmul": 2, "mul": 6, "reshape": 11, "sigmoid": 2, "sin": 1,
+    "soft_dice": 2, "sub": 4, "sum": 2, "transpose": 3, "upstage": 3,
+}
+
+
+@pytest.mark.parametrize("strategy", NODES_PER_IMAGE)
+def test_tape_nodes_per_image_are_pinned(strategy, monkeypatch):
+    made = []  # (op, taped) of every node built
+    node = Tensor._node.__func__
+
+    def counted(cls, data, parents, backward, op):
+        t = node(cls, data, parents, backward, op)
+        made.append((op, t.requires_grad))
+        return t
+
+    monkeypatch.setattr(Tensor, "_node", classmethod(counted))
+    engine = AdaptEngine(SegModel.build(ModelConfig(), 5), AdaptConfig(strategy=strategy))
+    for i, sample in enumerate(synthdata.gen_target(3, 4, "mri-like")):
+        made.clear()
+        engine.process(sample)
+        counts = (len(made), sum(taped for _, taped in made))
+        assert counts == NODES_PER_IMAGE[strategy], f"image {i}: (created, taped) {counts}"
+        if strategy == "sam-tta":
+            assert Counter(op for op, taped in made if taped) == SAM_TTA_TAPED_BY_OP, f"image {i}"
+    assert not engine.skipped
 
 
 # -- strategies ------------------------------------------------------------------
@@ -121,7 +191,7 @@ def test_sam_tta_freezes_decoder_and_base_encoder(base_model):
         else:
             moved_prompt = moved_prompt or not np.array_equal(p.data, before[name])
     assert moved_lora and moved_prompt
-    assert not np.array_equal(engine.sbct.u.data, sbct.init_identity().u.data)
+    assert not np.array_equal(engine.sbct_u.data, sbct.init_identity().data)
 
 
 def test_teacher_receives_no_gradient(base_model):
@@ -143,13 +213,13 @@ def test_teacher_shares_no_memory_with_student(base_model, strategy):
     engine = AdaptEngine(base_model, AdaptConfig(strategy=strategy, seed=2))
 
     def assert_disjoint():
-        teacher = [p.data for p in engine.teacher.params.values()]
-        if engine.teacher_sbct is not None:
-            teacher.append(engine.teacher_sbct.u.data)
+        teacher = [p.data for p in engine.teacher.params.values()] + [engine.teacher_group.flat]
+        if engine.teacher_u is not None:
+            teacher.append(engine.teacher_u.data)
         student = [p.data for p in engine.student.params.values()]
         student += [engine.adapters.flat, engine.curves.flat]
-        if engine.sbct is not None:
-            student.append(engine.sbct.u.data)
+        if engine.sbct_u is not None:
+            student.append(engine.sbct_u.data)
         for t in teacher:
             assert not any(np.shares_memory(t, s) for s in student)
 
@@ -247,7 +317,7 @@ def test_mean_teacher_trails_student_geometrically(base_model):
 
 def test_tent_updates_only_model_group(base_model):
     engine = AdaptEngine(base_model, AdaptConfig(strategy="tent", seed=6))
-    assert engine.sbct is None and engine.teacher is None
+    assert engine.sbct_u is None and engine.teacher is None
     before = {n: p.data.copy() for n, p in engine.student.params.items()}
     for s in target_stream(3):
         engine.process(s)
@@ -304,7 +374,7 @@ def test_sbct_only_keeps_every_model_weight(base_model):
         engine.process(s)
     for name, p in engine.student.params.items():
         assert np.array_equal(p.data, before[name]), name
-    assert not np.array_equal(engine.sbct.u.data, engine.teacher_sbct.u.data)
+    assert not np.array_equal(engine.sbct_u.data, engine.teacher_u.data)
 
 
 def test_sbct_only_teacher_keeps_every_model_weight(base_model):
@@ -316,7 +386,7 @@ def test_sbct_only_teacher_keeps_every_model_weight(base_model):
     assert engine.teacher.params.keys() == base_model.params.keys()
     for name, p in engine.teacher.params.items():
         assert np.array_equal(p.data, base_model.params[name].data), name
-    assert not np.array_equal(engine.teacher_sbct.u.data, sbct.init_identity().u.data)
+    assert not np.array_equal(engine.teacher_u.data, sbct.init_identity().data)
 
 
 def test_color_stream_uses_per_channel_curves(base_model):
@@ -335,15 +405,15 @@ def test_nan_image_skips_update_and_stream_continues(base_model, caplog):
     samples = target_stream(3)
     bad = StreamSample(np.full_like(samples[1].image, np.nan), samples[1].gt_mask, samples[1].box)
     engine = AdaptEngine(base_model, AdaptConfig(strategy="sam-tta", seed=10))
-    before_u = engine.sbct.u.data.copy()
+    before_u = engine.sbct_u.data.copy()
     engine.process(samples[0])
-    after_first_u = engine.sbct.u.data.copy()
+    after_first_u = engine.sbct_u.data.copy()
     assert not np.array_equal(before_u, after_first_u)
     with caplog.at_level("WARNING", logger="ttaseg.adapt"):
         pred, row = engine.process(bad)
     assert engine.skipped and engine.skipped[0]["index"] == 1
     assert "skipped" in caplog.text
-    assert np.array_equal(engine.sbct.u.data, after_first_u)  # no update on the bad image
+    assert np.array_equal(engine.sbct_u.data, after_first_u)  # no update on the bad image
     assert not pred.any()
     assert math.isnan(row.pred_iou) and math.isnan(row.l_icm)
     # stream continues normally
@@ -356,15 +426,15 @@ def _state(engine) -> dict:
     state = {f"student.{n}": p.data.copy() for n, p in engine.student.params.items()}
     if engine.teacher is not None:
         state.update({f"teacher.{n}": p.data.copy() for n, p in engine.teacher.params.items()})
-    for owner, params in (("sbct", engine.sbct), ("teacher_sbct", engine.teacher_sbct)):
-        if params is not None:
-            state[owner] = params.u.data.copy()
-    for group, opt in (("opt_sbct", engine.opt_sbct), ("opt_model", engine.opt_model)):
-        state[f"{group}.step"] = np.array(opt.step)
-        for moment in ("m", "v"):
-            value = getattr(opt, moment)
-            if value is not None:
-                state[f"{group}.{moment}"] = value.copy()
+    for owner in ("sbct_u", "teacher_u"):
+        u = getattr(engine, owner)
+        if u is not None:
+            state[owner] = u.data.copy()
+    for owner in ("curves", "adapters"):
+        group = getattr(engine, owner)
+        state[f"{owner}.step"] = np.array(group.step)
+        state[f"{owner}.m"] = group.m.copy()
+        state[f"{owner}.v"] = group.v.copy()
     return state
 
 
@@ -417,7 +487,7 @@ def test_non_finite_gradient_skips_before_adam_and_ema(base_model, strategy, mon
     assert engine.skipped == [{"index": 1, "reason": "non-finite gradient"}]
     assert "skipped" in caplog.text and len(engine.records) == 1
     _assert_same_state(before, _state(engine))
-    trained = [*engine.student.trainable().values()] + ([engine.sbct.u] if engine.sbct else [])
+    trained = [*engine.student.trainable().values()] + ([engine.sbct_u] if engine.sbct_u is not None else [])
     assert all(p.grad is None for p in trained)
     monkeypatch.undo()
     _, row = engine.process(samples[2])
@@ -432,7 +502,7 @@ def test_confidence_at_epsilon_skips_instead_of_crashing(base_model, strategy, c
     # no positive running max to divide by
     base_model.params["dec.iou.b2"].data = np.full((1,), -30.0)
     engine = AdaptEngine(base_model, AdaptConfig(strategy=strategy, seed=12))
-    u_before = engine.sbct.u.data.copy()
+    u_before = engine.sbct_u.data.copy()
     before = {n: p.data.copy() for n, p in engine.student.params.items()}
     with caplog.at_level("WARNING", logger="ttaseg.adapt"):
         rows = [engine.process(s)[1] for s in target_stream(3)]
@@ -440,7 +510,7 @@ def test_confidence_at_epsilon_skips_instead_of_crashing(base_model, strategy, c
     assert all("EPSILON" in s["reason"] for s in engine.skipped)
     assert caplog.text.count("skipped") == 3
     assert engine.running_max.count == 0 and not engine.records
-    assert np.array_equal(engine.sbct.u.data, u_before)
+    assert np.array_equal(engine.sbct_u.data, u_before)
     for name, p in engine.student.params.items():
         assert np.array_equal(p.data, before[name]), name
     for row in rows:
@@ -547,11 +617,13 @@ def test_steps_per_image_and_optimizer_reset(base_model):
     sample = target_stream(1)[0]
     one.process(sample)
     two.process(sample)
-    assert not np.array_equal(one.sbct.u.data, two.sbct.u.data)
+    assert not np.array_equal(one.sbct_u.data, two.sbct_u.data)
     reset = AdaptEngine(base_model, AdaptConfig(strategy="sam-tta", seed=0, reset_optimizer=True))
+    moments = [reset.adapters.m, reset.curves.v]
     for s in target_stream(2):
         reset.process(s)
-    assert reset.opt_model.step == 1  # cleared before each image
+    assert reset.adapters.step == 1 and reset.curves.step == 1  # cleared before each image
+    assert moments[0] is reset.adapters.m and moments[1] is reset.curves.v  # in place
 
 
 def test_calibration_modes_and_delta(base_model):

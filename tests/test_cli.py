@@ -248,6 +248,33 @@ def test_calibrate_both_reports_delta(tmp_path):
     assert (cal_out / "metrics_sbct_only.csv").exists()
 
 
+def test_calibrate_reports_an_undefined_correlation_as_null(tmp_path, capsys):
+    """Every prediction empty: the true IoU has no spread, so Pearson r is
+    undefined. ``calibrate`` reports it as ``adapt`` does, undefined, exits 0
+    and writes null r and delta."""
+    model = SegModel.build(ModelConfig(), 0)
+    model.params["dec.highhead.b"].data[...] = -100.0
+    ckpt = tmp_path / "empty.ckpt"
+    save_checkpoint(model, ckpt)
+    data = tmp_path / "data"
+    assert run("gen", "--profile", "ct-like", "--n", "8", "--out", str(data)) == 0
+    manifest = str(data / "manifest.csv")
+    assert run("adapt", "--checkpoint", str(ckpt), "--manifest", manifest,
+               "--strategy", "none", "--out", str(tmp_path / "none")) == 0
+    assert "pearson_r=undefined" in capsys.readouterr().out
+    out = tmp_path / "cal"
+    assert run("calibrate", "--checkpoint", str(ckpt), "--manifest", manifest, "--out", str(out)) == 0
+    printed = capsys.readouterr().out
+    assert "mode=off: pearson_r=undefined" in printed and "mode=sbct-only: pearson_r=undefined" in printed
+    assert "delta=undefined" in printed
+    expected = {"seed": 0, "n": 8, "modes": {"off": {"pearson_r": None}, "sbct-only": {"pearson_r": None}},
+                "delta": None}
+    assert json.loads((out / "calibration.json").read_text()) == expected
+    manifest_json = json.loads((out / "run.json").read_text())
+    assert manifest_json["status"] == "success" and manifest_json["result"] == expected
+    assert all(row.dice == 0.0 for row in read_metrics_csv(out / "metrics_off.csv"))
+
+
 def test_run_manifest_written_on_failure_and_replayable(tmp_path):
     data = tmp_path / "data"
     assert run("gen", "--profile", "mri-like", "--n", "1", "--out", str(data)) == 0

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from ttaseg.metrics import (CSV_HEADER, MetricsRow, binary_iou, boundary_pixels, dice, hd95,
-                            hd95_sentinel, pearson_r, percentile_linear, read_metrics_csv,
+                            hd95_sentinel, iou_correlation, pearson_r, percentile_linear, read_metrics_csv,
                             summarize, write_metrics_csv)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -300,6 +300,16 @@ def test_summary_excludes_sentinel_and_matches_column_pearson(tmp_path):
     assert s["hd95_excluded"] == 1
     assert s["mean_hd95"] == (1.5 + 3.0) / 2
     assert abs(s["pearson_r"] - pearson_r([0.8, 0.6], [0.85, 0.65])) <= 1e-15
+
+
+def test_iou_correlation_is_none_where_undefined():
+    rows = _rows()
+    pairs = [(r.pred_iou, r.true_iou) for r in rows if math.isfinite(r.pred_iou) and math.isfinite(r.true_iou)]
+    assert iou_correlation(rows) == pearson_r(*zip(*pairs))
+    flat = [MetricsRow(i, 0.0, 1.0, 0.1 * i, 0.0, 0.0, 0.0, 0.0, 0.0) for i in range(4)]
+    assert iou_correlation(flat) is None  # no spread in true IoU
+    assert iou_correlation(rows[:1]) is None  # one point
+    assert iou_correlation([]) is None
 
 
 def test_csv_header_pinned(tmp_path):

@@ -135,20 +135,23 @@ def test_forward_bit_deterministic(model64):
 
 
 def test_clone_shares_no_storage(model64):
+    model64.set_trainable(lambda n: n.startswith("prompt."))
     twin = model64.clone()
     for name in model64.params:
         assert twin.params[name].data is not model64.params[name].data
+        assert not twin.params[name].requires_grad
+    assert model64.params["prompt.freq"].requires_grad
     twin.params["pos_embed"].data[0, 0] += 1.0
     assert model64.params["pos_embed"].data[0, 0] != twin.params["pos_embed"].data[0, 0]
 
 
 def test_gradient_reaches_curve_scalars_through_forward(model16):
-    params = sbct.init_identity()
+    u = sbct.init_identity()
     x = np.random.default_rng(3).uniform(0, 1, (16, 16))
-    out = model16.forward(sbct.transform_gray(x, params), _box(model16.config))
+    out = model16.forward(sbct.transform_gray(x, u), _box(model16.config))
     (1.0 - out.s_iou).backward()
-    assert params.u.grad is not None
-    assert np.linalg.norm(params.u.grad) > 0.0
+    assert u.grad is not None
+    assert np.linalg.norm(u.grad) > 0.0
 
 
 def test_frozen_weights_receive_no_gradient(model16):
@@ -375,23 +378,23 @@ def test_full_path_gradcheck_small(model16):
     for name in lora_param_names(model16.config):
         model16.params[name].data = 0.05 * rng.normal(size=model16.params[name].shape)
     model16.set_trainable(lambda n: ".lora_" in n or n.startswith("prompt."))
-    params = sbct.init_identity()
+    u = sbct.init_identity()
     x = rng.uniform(0, 1, (16, 16))
     box = _box(model16.config)
 
     def loss_tensor():
-        out = model16.forward(sbct.transform_gray(x, params), box)
+        out = model16.forward(sbct.transform_gray(x, u), box)
         return (1.0 - out.s_iou) + out.m_high.sigmoid().mean()
 
     loss_tensor().backward()
-    grads = {"sbct": params.u.grad.copy(),
+    grads = {"sbct": u.grad.copy(),
              "lora": model16.params["enc0.attn.v.lora_a"].grad.copy(),
              "prompt": model16.params["prompt.freq"].grad.copy()}
 
     def f():
         return float(loss_tensor().data)
 
-    assert_grads_close(grads["sbct"], numeric_grad(f, params.u), rtol=1e-4, atol=1e-7, label="sbct")
+    assert_grads_close(grads["sbct"], numeric_grad(f, u), rtol=1e-4, atol=1e-7, label="sbct")
     assert_grads_close(grads["lora"], numeric_grad(f, model16.params["enc0.attn.v.lora_a"]),
                        rtol=1e-4, atol=1e-7, label="lora_a")
     assert_grads_close(grads["prompt"], numeric_grad(f, model16.params["prompt.freq"]),

@@ -17,7 +17,7 @@ import ttaseg
 from ttaseg import adapt, losses, synthdata
 from ttaseg.model import ModelConfig, SegModel
 from ttaseg.pretrain import sample_loss
-from ttaseg.tensor import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, DomainError, ParamGroup, Tensor,
+from ttaseg.tensor import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, DomainError, ParamGroup, Tensor,
                            adam_step, as_tensor, attention, concat, layer_norm, linear, log_softmax, no_grad)
 
 
@@ -520,24 +520,25 @@ def test_adam_step_is_bitwise_the_per_tensor_reference(weight_decay, reset_at):
     init = {name: rng.normal(size=shape) for name, shape in _MIXED_SHAPES.items()}
     group = ParamGroup({name: Tensor(a, requires_grad=True) for name, a in init.items()})
     ref = {name: Tensor(a, requires_grad=True) for name, a in init.items()}
-    state, ref_state = AdamState(), {"step": 0, "m": {}, "v": {}}
+    ref_state = {"step": 0, "m": {}, "v": {}}
     for step in range(5):
         if step == reset_at:  # what AdaptConfig.reset_optimizer does per image
-            state, ref_state = AdamState(), {"step": 0, "m": {}, "v": {}}
+            group.reset_moments()
+            ref_state = {"step": 0, "m": {}, "v": {}}
         for name, shape in _MIXED_SHAPES.items():
             # large and tiny gradients, and exact zeros
             g = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3, size=shape)
             g[rng.uniform(size=shape) < 0.2] = 0.0
             group[name].grad = g.copy()
             ref[name].grad = g.copy()
-        adam_step(group, state, lr=0.01, weight_decay=weight_decay)
+        adam_step(group, lr=0.01, weight_decay=weight_decay)
         _reference_adam_step(ref, ref_state, lr=0.01, weight_decay=weight_decay)
         for name in _MIXED_SHAPES:
             assert np.array_equal(group[name].data, ref[name].data), f"step {step}: {name}"
             assert group[name].grad is None
-        assert np.array_equal(state.m, np.concatenate([ref_state["m"][n].reshape(-1) for n in _MIXED_SHAPES]))
-        assert np.array_equal(state.v, np.concatenate([ref_state["v"][n].reshape(-1) for n in _MIXED_SHAPES]))
-    assert state.step == 5 - (reset_at or 0)
+        assert np.array_equal(group.m, np.concatenate([ref_state["m"][n].reshape(-1) for n in _MIXED_SHAPES]))
+        assert np.array_equal(group.v, np.concatenate([ref_state["v"][n].reshape(-1) for n in _MIXED_SHAPES]))
+    assert group.step == 5 - (reset_at or 0)
 
 
 def test_param_group_lays_members_out_in_one_vector():
@@ -552,7 +553,7 @@ def test_param_group_lays_members_out_in_one_vector():
 def test_adam_first_step_closed_form():
     p = Tensor([3.0], requires_grad=True)
     p.grad = np.array([1.0])
-    adam_step(ParamGroup({"p": p}), AdamState(), lr=0.01)
+    adam_step(ParamGroup({"p": p}), lr=0.01)
     assert abs(float(p.data[0]) - (3.0 - 0.01)) <= 1e-9
     assert p.grad is None
 
@@ -560,7 +561,7 @@ def test_adam_first_step_closed_form():
 def test_adam_zero_gradient_keeps_parameters():
     p = Tensor([1.5, -2.0], requires_grad=True)
     p.grad = np.zeros(2)
-    adam_step(ParamGroup({"p": p}), AdamState(), lr=0.1)
+    adam_step(ParamGroup({"p": p}), lr=0.1)
     assert np.array_equal(p.data, [1.5, -2.0])
 
 
@@ -569,8 +570,8 @@ def test_adam_two_groups_use_their_own_rates():
     slow = Tensor([0.0], requires_grad=True)
     fast.grad = np.array([1.0])
     slow.grad = np.array([1.0])
-    adam_step(ParamGroup({"fast": fast}), AdamState(), lr=0.01)
-    adam_step(ParamGroup({"slow": slow}), AdamState(), lr=0.001)
+    adam_step(ParamGroup({"fast": fast}), lr=0.01)
+    adam_step(ParamGroup({"slow": slow}), lr=0.001)
     assert abs(float(fast.data[0]) + 0.01) <= 1e-9
     assert abs(float(slow.data[0]) + 0.001) <= 1e-9
 
@@ -585,35 +586,23 @@ def _two_member_group():
 def test_adam_missing_gradient_rejected():
     group = _two_member_group()
     group["q"].grad = None
-    state = AdamState()
     with pytest.raises(ValueError, match="'q' has no gradient"):
-        adam_step(group, state, lr=0.01)
-    assert np.array_equal(group.flat, [1.0, 2.0, 3.0]) and state.step == 0
+        adam_step(group, lr=0.01)
+    assert np.array_equal(group.flat, [1.0, 2.0, 3.0]) and group.step == 0
 
 
 def test_adam_rebound_member_rejected_by_name():
     group = _two_member_group()
     group["p"].data = group["p"].data + 0.0  # a copy, no longer the group's view
-    state = AdamState()
     with pytest.raises(ValueError, match="'p' is not a view of its group's vector"):
-        adam_step(group, state, lr=0.01)
-    assert np.array_equal(group.flat, [1.0, 2.0, 3.0]) and state.step == 0
-
-
-def test_adam_stale_moments_rejected():
-    group = _two_member_group()
-    state = AdamState()
-    adam_step(group, state, lr=0.01)
-    other = ParamGroup({"r": Tensor([0.0], requires_grad=True)})
-    other["r"].grad = np.array([1.0])
-    with pytest.raises(ValueError, match="stale moments"):
-        adam_step(other, state, lr=0.01)
+        adam_step(group, lr=0.01)
+    assert np.array_equal(group.flat, [1.0, 2.0, 3.0]) and group.step == 0
 
 
 def test_adam_weight_decay_is_coupled_l2():
     p = Tensor([2.0], requires_grad=True)
     p.grad = np.array([0.0])
-    adam_step(ParamGroup({"p": p}), AdamState(), lr=0.01, weight_decay=0.5)
+    adam_step(ParamGroup({"p": p}), lr=0.01, weight_decay=0.5)
     # effective gradient 0.5*2=1 on the first step -> bias-corrected unit step
     assert abs(float(p.data[0]) - (2.0 - 0.01)) <= 1e-9
 
@@ -706,9 +695,9 @@ def _sam_tta_step(monkeypatch):
     grads = []
     step = adapt.adam_step
 
-    def recording_step(group, state, lr, weight_decay=0.0):
+    def recording_step(group, lr, weight_decay=0.0):
         grads.extend((name, p.grad) for name, p in group.items())
-        step(group, state, lr, weight_decay)
+        step(group, lr, weight_decay)
 
     sample = synthdata.gen_target(3, 1, "mri-like")[0]
     with monkeypatch.context() as m:
