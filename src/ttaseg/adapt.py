@@ -200,9 +200,7 @@ class AdaptEngine:
             self.curves.reset_moments()
             self.adapters.reset_moments()
 
-        # checked before any forward, the same way for every strategy
-        reason = ("empty ground-truth mask, no prompt" if sample.box is None
-                  else "pixel outside [0, 1] or not finite" if _bad_pixels(sample.image) else None)
+        reason = self._input_fault(sample)
         if reason is not None:
             self._record_skip(i, reason)
             pred = np.zeros(sample.gt_mask.shape, dtype=bool)
@@ -228,6 +226,19 @@ class AdaptEngine:
                                            0.0, 0.0, 0.0)
         return pred, metrics.score_row(i, pred, sample.gt_mask, s_final, breakdown.l_icm,
                                        breakdown.l_dpc, breakdown.l_ifc, breakdown.lambda_dpc)
+
+    def _input_fault(self, sample: synthdata.StreamSample) -> str | None:
+        """Why the sample cannot go through the model at all, if it cannot;
+        checked before any forward, the same way for every strategy."""
+        if sample.box is None:
+            return "empty ground-truth mask, no prompt"
+        size = self.student.config.image_size
+        h, w = sample.image.shape[-2:]
+        if (h, w) != (size, size):
+            return f"image is {h}x{w}, the model takes {size}x{size}"
+        if _bad_pixels(sample.image):
+            return "pixel outside [0, 1] or not finite"
+        return None
 
     def _record_skip(self, index: int, reason: str):
         self.skipped.append({"index": index, "reason": reason})
@@ -260,13 +271,13 @@ def adapt_stream(model: SegModel, samples, config: AdaptConfig, out_dir, dump_sb
     out.mkdir(parents=True, exist_ok=True)
     engine = AdaptEngine(model, config)
     rows = []
-    shape = None
+    sentinels = []
     for i, sample in enumerate(samples):
         if isinstance(sample, Exception):
             raise RuntimeError(f"adapt_stream: unreadable sample at index {i}") from sample
-        shape = sample.gt_mask.shape
         pred, row = engine.process(sample)
         rows.append(row)
+        sentinels.append(metrics.hd95_sentinel(sample.gt_mask.shape))
         netpbm.write_pgm(out / f"pred_{i:05d}.pgm", pred)
         if dump_sbct_dir is not None:
             engine.dump_sbct(i, sample.image, dump_sbct_dir)
@@ -274,7 +285,7 @@ def adapt_stream(model: SegModel, samples, config: AdaptConfig, out_dir, dump_sb
         raise ValueError("adapt_stream: empty stream")
     metrics.write_metrics_csv(rows, out / "metrics.csv")
     save_checkpoint(engine.student, out / "adapted.ckpt")
-    summary = metrics.summarize(rows, metrics.hd95_sentinel(shape))
+    summary = metrics.summarize(rows, sentinels)
     record = {"n_images": len(rows), "skipped": engine.skipped, "summary": summary}
     if engine.sbct_u is not None:
         record["sbct_u"] = engine.sbct_u.data.tolist()

@@ -187,17 +187,17 @@ def _cmd_eval(args) -> int:
         if source_csv.exists():
             carried = {r.index: r for r in metrics.read_metrics_csv(source_csv)}
         rows = []
-        shape = None
+        sentinels = []
         for i, (_, mask_path) in enumerate(pairs):
             gt = netpbm.read_pnm(mask_path) > 0.5
-            shape = gt.shape
+            sentinels.append(metrics.hd95_sentinel(gt.shape))
             pred_path = pred_dir / f"pred_{i:05d}.pgm"
             pred = netpbm.read_pnm(pred_path) > 0.5
             prev = carried.get(i)
             logged = (prev.pred_iou, prev.l_icm, prev.l_dpc, prev.l_ifc, prev.lambda_dpc) if prev else ()
             rows.append(metrics.score_row(i, pred, gt, *logged))
         metrics.write_metrics_csv(rows, out)
-        summary = metrics.summarize(rows, metrics.hd95_sentinel(shape))
+        summary = metrics.summarize(rows, sentinels)
         print(metrics.format_summary(summary))
         return {"summary": summary}
 

@@ -200,13 +200,20 @@ def read_metrics_csv(path) -> list:
     return rows
 
 
-def summarize(rows, sentinel: float) -> dict:
+def summarize(rows, sentinels) -> dict:
     """Aggregate a run: mean Dice, mean HD95 over defined rows, Pearson r
-    between predicted and true IoU over rows where both are finite."""
+    between predicted and true IoU over rows where both are finite.
+
+    ``sentinels`` holds one HD95 sentinel per row, that of the row's own
+    image shape (``hd95_sentinel``); a row's HD95 is undefined at or above
+    it."""
     if not rows:
         raise ValueError("summarize: no rows")
+    if len(sentinels) != len(rows):
+        raise ValueError(f"summarize: {len(rows)} rows but {len(sentinels)} sentinels")
     dices = [r.dice for r in rows]
-    defined = [r.hd95 for r in rows if math.isfinite(r.hd95) and r.hd95 < sentinel]
+    defined = [r.hd95 for r, sentinel in zip(rows, sentinels)
+               if math.isfinite(r.hd95) and r.hd95 < sentinel]
     return {
         "n": len(rows),
         "mean_dice": float(np.mean(dices)),

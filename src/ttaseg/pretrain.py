@@ -67,7 +67,7 @@ def evaluate(model: SegModel, samples) -> dict:
     ``none`` strategy: mean Dice and IoU-head calibration."""
     engine = adapt.AdaptEngine(model, adapt.AdaptConfig(strategy="none"))
     rows = [engine.process(s)[1] for s in samples]
-    return metrics.summarize(rows, metrics.hd95_sentinel(samples[0].gt_mask.shape))
+    return metrics.summarize(rows, [metrics.hd95_sentinel(s.gt_mask.shape) for s in samples])
 
 
 def pretrain(cfg: PretrainConfig, out_path) -> dict:

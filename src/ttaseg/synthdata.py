@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from . import netpbm
 
@@ -198,6 +197,28 @@ def render_scene(spec: SceneSpec):
     return np.clip(img, 0.0, 1.0), mask
 
 
+def _gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter(image, sigma)`` of a 2-D float64
+    image (mode ``reflect``, truncate 4), bit for bit: the same kernel, and
+    per axis, axis 0 first, the centre tap times its weight plus each
+    mirrored pair of taps summed and times its weight, outermost pair
+    first, as scipy's symmetric ``correlate1d`` accumulates them."""
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    weights = weights / weights.sum()
+    out = image
+    for _ in range(2):  # filter along axis 0, then transpose for the other axis
+        n = out.shape[0]
+        # numpy's "symmetric" is scipy's "reflect": the edge pixel repeats
+        padded = np.pad(out, ((radius, radius), (0, 0)), mode="symmetric")
+        acc = padded[radius:radius + n] * weights[radius]
+        for k in range(radius):
+            acc += (padded[k:k + n] + padded[2 * radius - k:2 * radius - k + n]) * weights[k]
+        out = acc.T
+    return out
+
+
 def degrade(image: np.ndarray, spec: SceneSpec) -> np.ndarray:
     """Apply the shift recipe: grayscale, gamma, blur, then noise."""
     out = _LUMA @ image.reshape(3, -1) if spec.grayscale else image
@@ -206,9 +227,9 @@ def degrade(image: np.ndarray, spec: SceneSpec) -> np.ndarray:
         out = out ** spec.gamma
     if spec.blur_sigma > 0:
         if out.ndim == 2:
-            out = gaussian_filter(out, spec.blur_sigma)
+            out = _gaussian_blur(out, spec.blur_sigma)
         else:
-            out = np.stack([gaussian_filter(out[c], spec.blur_sigma) for c in range(3)])
+            out = np.stack([_gaussian_blur(out[c], spec.blur_sigma) for c in range(3)])
     if spec.noise_sigma > 0:
         noise = _rng(spec.stream_seed, spec.index, _TAG_NOISE).standard_normal(out.shape)
         out = out + spec.noise_sigma * noise
@@ -294,7 +315,12 @@ def load_manifest(path) -> list:
 
 
 def load_sample(img_path, mask_path) -> StreamSample:
+    """One image and its mask; the mask must be a gray (P5) plane of the
+    image's height and width."""
     image = netpbm.read_pnm(img_path)
     mask = netpbm.read_pnm(mask_path) > 0.5
+    if mask.ndim != 2 or mask.shape != image.shape[-2:]:
+        raise ValueError(f"image {img_path} has shape {image.shape} but mask {mask_path} has shape "
+                         f"{mask.shape}; a mask must be one gray plane of the image's height and width")
     box = oracle_box(mask) if mask.any() else None
     return StreamSample(image, mask, box)

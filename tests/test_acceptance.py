@@ -314,7 +314,7 @@ def test_c10_robustness_sentinel_and_nan(accept_model, tmp_path, caplog):
     assert len(rows) == len(samples)
     for row in rows:
         assert math.isfinite(row.dice) and math.isfinite(row.true_iou)
-    summary = summarize(rows, hd95_sentinel((64, 64)))
+    summary = summarize(rows, [hd95_sentinel(s.gt_mask.shape) for s in samples])
     assert math.isfinite(summary["mean_dice"])
     assert summary["hd95_excluded"] >= 1
     assert len(result["record"]["skipped"]) == 2

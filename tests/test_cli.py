@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from ttaseg import netpbm
 from ttaseg.cli import main
-from ttaseg.metrics import read_metrics_csv
+from ttaseg.metrics import hd95_sentinel, read_metrics_csv
 from ttaseg.model import ModelConfig, SegModel, save_checkpoint
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 TINY_PRETRAIN = ["--epochs", "2", "--n-train", "12", "--n-val", "6", "--seed", "0"]
 
@@ -215,6 +222,68 @@ def test_adapt_run_json_lists_a_skipped_image(tmp_path):
     manifest = json.loads((out / "run.json").read_text())
     assert manifest["status"] == "success" and manifest["result"]["n_images"] == 3
     assert manifest["result"]["skipped"] == [{"index": 1, "reason": "empty ground-truth mask, no prompt"}]
+
+
+def test_adapt_skips_an_image_of_another_size(tmp_path):
+    """A 32x32 image in a stream of 64x64 ones is a logged skip: the stream
+    runs on, every prediction has its own image's size, and the skipped
+    row's HD95 is undefined by its own (32x32) sentinel in both ``adapt``'s
+    and ``eval``'s summary."""
+    data, ckpt = _make_pipeline(tmp_path, n_adapt=3)
+    image = netpbm.read_pnm(data / "img_00001.pgm")[16:48, 16:48]
+    mask = netpbm.read_pnm(data / "mask_00001.pgm")[16:48, 16:48] > 0.5
+    assert mask.any()
+    netpbm.write_pgm(data / "img_00001.pgm", image)
+    netpbm.write_pgm(data / "mask_00001.pgm", mask)
+    manifest = str(data / "manifest.csv")
+    out = tmp_path / "adapted"
+    assert run("adapt", "--checkpoint", str(ckpt), "--manifest", manifest,
+               "--strategy", "sam-tta", "--seed", "0", "--out", str(out)) == 0
+    sizes = [netpbm.read_pnm(out / f"pred_{i:05d}.pgm").shape for i in range(3)]
+    assert sizes == [(64, 64), (32, 32), (64, 64)]
+    result = json.loads((out / "run.json").read_text())["result"]
+    assert result["skipped"] == [{"index": 1, "reason": "image is 32x32, the model takes 64x64"}]
+    rows = read_metrics_csv(out / "metrics.csv")
+    assert rows[1].hd95 == hd95_sentinel((32, 32))
+    defined = [r.hd95 for r in (rows[0], rows[2]) if r.hd95 < hd95_sentinel((64, 64))]
+    assert result["summary"]["hd95_excluded"] == 3 - len(defined)
+    scored = tmp_path / "scored.csv"
+    assert run("eval", "--pred", str(out), "--manifest", manifest, "--out", str(scored)) == 0
+    assert json.loads((tmp_path / "scored.csv.run.json").read_text())["result"]["summary"] == result["summary"]
+
+
+def test_pipeline_runs_with_scipy_unimportable(tmp_path):
+    """Every subcommand runs with each ``scipy`` import made to fail, and
+    none of them leaves a ``scipy`` module loaded."""
+    script = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is not importable here")
+
+sys.meta_path.insert(0, NoScipy())
+from ttaseg.cli import main
+
+d = sys.argv[1]
+commands = [
+    ["gen", "--profile", "ct-like", "--n", "3", "--out", f"{d}/data"],
+    ["pretrain", "--epochs", "1", "--n-train", "4", "--n-val", "2", "--out", f"{d}/model.ckpt"],
+    ["adapt", "--checkpoint", f"{d}/model.ckpt", "--manifest", f"{d}/data/manifest.csv",
+     "--strategy", "sam-tta", "--out", f"{d}/adapted"],
+    ["eval", "--pred", f"{d}/adapted", "--manifest", f"{d}/data/manifest.csv", "--out", f"{d}/scored.csv"],
+    ["calibrate", "--checkpoint", f"{d}/model.ckpt", "--manifest", f"{d}/data/manifest.csv",
+     "--out", f"{d}/cal"],
+]
+print([main(argv) for argv in commands])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0]", "[]"], out.stderr
 
 
 def test_eval_missing_prediction_is_runtime_error(tmp_path):

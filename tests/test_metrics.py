@@ -288,7 +288,7 @@ def test_csv_roundtrip(tmp_path):
 
 def test_summary_single_row_equals_row():
     row = MetricsRow(0, 0.9, 1.5, 0.8, 0.85, 0.2, 0.1, 0.05, 1.0)
-    s = summarize([row], sentinel=hd95_sentinel((16, 16)))
+    s = summarize([row], [hd95_sentinel((16, 16))])
     assert s["mean_dice"] == row.dice
     assert s["mean_hd95"] == row.hd95
     assert s["pearson_r"] is None  # single point: undefined
@@ -296,10 +296,21 @@ def test_summary_single_row_equals_row():
 
 def test_summary_excludes_sentinel_and_matches_column_pearson(tmp_path):
     rows = _rows()
-    s = summarize(rows, sentinel=hd95_sentinel((16, 16)))
+    s = summarize(rows, [hd95_sentinel((16, 16))] * len(rows))
     assert s["hd95_excluded"] == 1
     assert s["mean_hd95"] == (1.5 + 3.0) / 2
     assert abs(s["pearson_r"] - pearson_r([0.8, 0.6], [0.85, 0.65])) <= 1e-15
+
+
+def test_summary_takes_each_rows_own_sentinel():
+    """The same HD95 is the undefined sentinel of an 8x8 row and a real
+    distance in a 16x16 row; one sentinel is needed per row."""
+    small = hd95_sentinel((8, 8))
+    rows = [MetricsRow(i, 0.5, small, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0) for i in range(2)]
+    s = summarize(rows, [small, hd95_sentinel((16, 16))])
+    assert s["hd95_excluded"] == 1 and s["mean_hd95"] == small
+    with pytest.raises(ValueError, match="2 rows but 1 sentinels"):
+        summarize(rows, [small])
 
 
 def test_iou_correlation_is_none_where_undefined():

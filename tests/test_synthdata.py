@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scipy.ndimage import binary_dilation, sobel
+from scipy.ndimage import binary_dilation, gaussian_filter, sobel
 
 from ttaseg import synthdata
+from ttaseg.netpbm import write_image, write_pgm
 from ttaseg.synthdata import (BOX_PAD, PROFILES, BoxPrompt, ShiftProfile, degrade, gen_source,
                               gen_target, generate, load_manifest, load_sample, oracle_box,
                               render_scene, sample_spec, write_dataset)
@@ -138,12 +139,36 @@ def test_dataset_roundtrip(tmp_path):
 
 
 def test_load_sample_empty_mask_yields_no_box(tmp_path):
-    from ttaseg.netpbm import write_pgm
     write_pgm(tmp_path / "img.pgm", np.full((8, 8), 0.5))
     write_pgm(tmp_path / "mask.pgm", np.zeros((8, 8), dtype=bool))
     sample = load_sample(tmp_path / "img.pgm", tmp_path / "mask.pgm")
     assert sample.box is None
     assert not sample.gt_mask.any()
+
+
+@pytest.mark.parametrize("mask_name, mask", [("mask.pgm", np.ones((32, 32), dtype=bool)),
+                                             ("mask.ppm", np.ones((3, 64, 64)))],
+                         ids=["smaller-mask", "colour-mask"])
+def test_load_sample_rejects_a_mask_that_does_not_fit_the_image(tmp_path, mask_name, mask):
+    """A mask of another height and width, or one in colour, is refused
+    with both paths and both shapes in the message."""
+    image_path, mask_path = tmp_path / "img.pgm", tmp_path / mask_name
+    write_pgm(image_path, np.full((64, 64), 0.5))
+    write_image(mask_path, mask)
+    with pytest.raises(ValueError) as excinfo:
+        load_sample(image_path, mask_path)
+    message = str(excinfo.value)
+    for part in (str(image_path), str(mask_path), "(64, 64)", str(mask.shape)):
+        assert part in message
+
+
+@given(h=st.integers(1, 70), w=st.integers(1, 70), sigma=st.floats(0.3, 4.0),
+       seed=st.integers(0, 2**32 - 1), constant=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_gaussian_blur_is_scipy_gaussian_filter_bit_for_bit(h, w, sigma, seed, constant):
+    rng = np.random.default_rng(seed)
+    image = np.full((h, w), rng.uniform()) if constant else rng.uniform(size=(h, w))
+    assert np.array_equal(synthdata._gaussian_blur(image, sigma), gaussian_filter(image, sigma))
 
 
 def test_manifest_requires_header(tmp_path):
