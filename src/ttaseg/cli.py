@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, adapt, metrics, netpbm, pretrain, synthdata
+from . import __version__, adapt, metrics, pretrain, synthdata
 from .model import load_checkpoint
 
 
@@ -189,10 +189,9 @@ def _cmd_eval(args) -> int:
         rows = []
         sentinels = []
         for i, (_, mask_path) in enumerate(pairs):
-            gt = netpbm.read_pnm(mask_path) > 0.5
+            gt = synthdata.read_mask(mask_path)
             sentinels.append(metrics.hd95_sentinel(gt.shape))
-            pred_path = pred_dir / f"pred_{i:05d}.pgm"
-            pred = netpbm.read_pnm(pred_path) > 0.5
+            pred = synthdata.read_mask(pred_dir / f"pred_{i:05d}.pgm", like=(mask_path, gt.shape))
             prev = carried.get(i)
             logged = (prev.pred_iou, prev.l_icm, prev.l_dpc, prev.l_ifc, prev.lambda_dpc) if prev else ()
             rows.append(metrics.score_row(i, pred, gt, *logged))

@@ -24,7 +24,6 @@ __all__ = [
     "linear",
     "layer_norm",
     "attention",
-    "log_softmax",
     "no_grad",
     "ParamGroup",
     "adam_step",
@@ -220,14 +219,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return as_tensor(other) / self
 
-    def __neg__(self):
-        a = self
-
-        def bw(g):
-            a._accum_owned(-g)
-
-        return Tensor._node(-a.data, (a,), bw, "neg")
-
     def __matmul__(self, other):
         if not isinstance(other, Tensor):
             other = as_tensor(other)
@@ -250,27 +241,6 @@ class Tensor:
         return Tensor._node(a.data @ b.data, (a, b), bw, "matmul")
 
     # -- elementwise transcendentals ------------------------------------
-
-    def log(self):
-        a = self
-        if np.any(a.data <= 0.0):
-            raise DomainError(
-                f"log: nonpositive input (min={a.data.min():.6g}, produced by op {a._op!r})"
-            )
-
-        def bw(g):
-            a._accum_owned(g / a.data)
-
-        return Tensor._node(np.log(a.data), (a,), bw, "log")
-
-    def exp(self):
-        a = self
-        out = np.exp(a.data)
-
-        def bw(g):
-            a._accum_owned(g * out)
-
-        return Tensor._node(out, (a,), bw, "exp")
 
     def sigmoid(self):
         a = self
@@ -307,15 +277,6 @@ class Tensor:
 
         return Tensor._node(np.cos(a.data), (a,), bw, "cos")
 
-    def clip(self, lo: float, hi: float):
-        a = self
-        inside = (a.data >= lo) & (a.data <= hi)
-
-        def bw(g):
-            a._accum_owned(g * inside)
-
-        return Tensor._node(np.clip(a.data, lo, hi), (a,), bw, "clip")
-
     # -- reductions and shape ops ---------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
@@ -329,12 +290,6 @@ class Tensor:
             a._accum_owned(np.broadcast_to(gg, a.data.shape).copy())
 
         return Tensor._node(out, (a,), bw, "sum")
-
-    def mean(self, axis=None, keepdims: bool = False):
-        n = self.data.size if axis is None else np.prod(
-            [self.data.shape[i] for i in (axis if isinstance(axis, tuple) else (axis,))]
-        )
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(n))
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -515,19 +470,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
             q._accum_owned((gs @ np.swapaxes(kt, -1, -2)).transpose(1, 0, 2).reshape(nq, d))
 
     return Tensor._node(out, (q, k, v), bw, "attention")
-
-
-def log_softmax(x: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
-    """Numerically stable log of the temperature-scaled softmax.
-
-    The max shift is detached; softmax is invariant to additive shifts so
-    the gradient is unaffected.
-    """
-    if temperature <= 0:
-        raise ValueError(f"log_softmax: temperature must be positive, got {temperature}")
-    y = x * (1.0 / float(temperature))
-    shifted = y - Tensor(np.max(y.data, axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 
 # -- optimizer -----------------------------------------------------------

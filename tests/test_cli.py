@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ttaseg import netpbm
@@ -284,6 +285,40 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0]", "[]"], out.stderr
+
+
+def _eval_error(tmp_path, damage) -> str:
+    """``eval``'s error on a 2-image dataset whose predictions are its masks,
+    after ``damage(data, pred)``; ``eval`` must exit 2."""
+    data, pred = tmp_path / "data", tmp_path / "pred"
+    assert run("gen", "--profile", "ct-like", "--n", "2", "--out", str(data)) == 0
+    pred.mkdir()
+    for i in range(2):
+        netpbm.write_pgm(pred / f"pred_{i:05d}.pgm", netpbm.read_pnm(data / f"mask_{i:05d}.pgm") > 0.5)
+    damage(data, pred)
+    out = tmp_path / "scored.csv"
+    assert run("eval", "--pred", str(pred), "--manifest", str(data / "manifest.csv"), "--out", str(out)) == 2
+    return json.loads((tmp_path / "scored.csv.run.json").read_text())["error"]
+
+
+def test_eval_rejects_a_colour_mask_naming_it(tmp_path):
+    """A colour (P6) ground-truth mask is refused as ``adapt`` refuses it."""
+    def colour_mask(data, pred):
+        netpbm.write_ppm(data / "mask_00001.pgm", np.ones((3, 64, 64)))
+
+    error = _eval_error(tmp_path, colour_mask)
+    assert str(tmp_path / "data" / "mask_00001.pgm") in error
+    assert "(3, 64, 64)" in error and "gray plane" in error
+
+
+def test_eval_rejects_a_prediction_of_another_size_naming_both_files(tmp_path):
+    def small_prediction(data, pred):
+        netpbm.write_pgm(pred / "pred_00000.pgm", np.zeros((32, 32), dtype=bool))
+
+    error = _eval_error(tmp_path, small_prediction)
+    for part in (str(tmp_path / "data" / "mask_00000.pgm"), str(tmp_path / "pred" / "pred_00000.pgm"),
+                 "(64, 64)", "(32, 32)"):
+        assert part in error
 
 
 def test_eval_missing_prediction_is_runtime_error(tmp_path):

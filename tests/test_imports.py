@@ -1,4 +1,5 @@
-"""The package imports nothing beyond numpy and the standard library."""
+"""The package imports nothing beyond numpy and the standard library, and
+defines nothing that only code outside it calls."""
 
 import ast
 import sys
@@ -25,3 +26,37 @@ def test_package_imports_only_numpy_and_the_standard_library():
                for line, root in _absolute_import_roots(ast.parse(path.read_text(), str(path)))
                if root not in ALLOWED]
     assert outside == []
+
+
+# package definitions that no module of the package refers to, each with
+# the reason it stays; anything else that only tests call belongs in tests
+UNREFERENCED = {
+    "cli._Parser.error": "argparse calls it",
+    "synthdata.gen_target": "perfbench and scripts call it",
+    "losses.soft_dice": "criterion c02 checks it",
+    "tensor.Tensor.item": "the tests' scalar accessor",
+}
+
+
+def _definitions(body, prefix: str):
+    """Qualified name and bare name of every function, class and
+    non-dunder method defined in ``body`` and in the bodies of those."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield f"{prefix}.{node.name}", node.name
+            yield from _definitions(node.body, f"{prefix}.{node.name}")
+
+
+def test_every_package_definition_is_referenced_in_the_package():
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unreferenced = {qualified for module, tree in trees.items()
+                    for qualified, name in _definitions(tree.body, module) if name not in referenced}
+    assert unreferenced == set(UNREFERENCED)

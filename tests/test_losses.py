@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conftest import assert_same_loss_and_grads, loss_and_grads, softmax
+from conftest import (assert_same_loss_and_grads, entropy_composed, l_ifc_composed, loss_and_grads,
+                      softmax)
 from fdcheck import assert_grads_close, numeric_grad
 from ttaseg.losses import (EPSILON, LossBreakdown, RunningMax, bce_with_logits, confidence_stat,
                            entropy_loss, iou_head_loss, l_dpc, l_icm, l_ifc, lambda_dpc, soft_dice,
                            total_tta_loss)
 from ttaseg.metrics import binary_iou
-from ttaseg.model import SegOutputs
+from ttaseg.model import SegOutputs, tokens_to_grid
 from ttaseg.synthdata import BoxPrompt
 from ttaseg.tensor import Tensor, no_grad
 
@@ -296,7 +298,122 @@ def test_l_ifc_gradient_matches_finite_differences():
     assert_grads_close(z_s.grad, numeric_grad(f, z_s), rtol=1e-6, atol=1e-9)
 
 
-# -- combined objective ------------------------------------------------------------
+@pytest.mark.parametrize("s_iou", [0.3, 0.95])
+def test_l_ifc_gradient_through_the_token_grid_matches_finite_differences(s_iou):
+    """Through ``tokens_to_grid``, as the engine calls it, on a non-square
+    channel count and other temperatures."""
+    rng = np.random.default_rng(12)
+    tokens = Tensor(rng.normal(size=(9, 3)), requires_grad=True)
+    z_t = tokens_to_grid(Tensor(rng.normal(size=(9, 3))))
+    l_ifc(tokens_to_grid(tokens), z_t, s_iou).backward()
+
+    def f():
+        return l_ifc(tokens_to_grid(Tensor(tokens.data)), z_t, s_iou).item()
+
+    assert_grads_close(tokens.grad, numeric_grad(f, tokens), rtol=1e-6, atol=1e-9)
+
+
+def _nodes_built(monkeypatch, build):
+    """The ops of the tape nodes ``build()`` creates."""
+    made = []
+    node = Tensor._node.__func__
+
+    def counted(cls, data, parents, backward, op):
+        made.append(op)
+        return node(cls, data, parents, backward, op)
+
+    monkeypatch.setattr(Tensor, "_node", classmethod(counted))
+    build()
+    return made
+
+
+def test_fused_objective_terms_are_one_node_each(monkeypatch):
+    rng = np.random.default_rng(9)
+    z_s, z_t = (Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True) for _ in range(2))
+    m_high = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+    assert _nodes_built(monkeypatch, lambda: l_ifc(z_s, z_t, 0.5)) == ["ifc"]
+    assert _nodes_built(monkeypatch, lambda: entropy_loss(m_high)) == ["entropy"]
+
+
+def _loss_and_input_grad(fn, build_input, weight_seed):
+    """``fn``'s loss on the input ``build_input()`` makes from a fresh leaf,
+    and the leaf's gradient. The loss is scaled by a drawn weight, so the
+    node's backward starts from an arbitrary gradient. The leaf has a second
+    use (through a sigmoid, finite at ±inf) made after the node, so the
+    node's gradient lands on an already-written ``grad`` through whatever
+    views lie between."""
+    leaf, x = build_input()
+    loss = fn(x)
+    rng = np.random.default_rng(weight_seed)
+    (loss * rng.uniform(0.1, 3.0) + (leaf.sigmoid() * Tensor(rng.normal(size=leaf.shape))).sum()).backward()
+    return loss.data, leaf.grad
+
+
+def _assert_bitwise(fused, composed):
+    for got, want in zip(fused, composed):
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+@st.composite
+def _ifc_inputs(draw):
+    """Student and teacher grids as the engine forms them (``tokens_to_grid``
+    views of (tokens, dim) rows) or as plain (D, H, W) arrays, with a
+    temperature from just above EPSILON up to 1."""
+    d = draw(st.integers(1, 4))
+    as_tokens = draw(st.booleans())
+    if as_tokens:
+        side = draw(st.integers(1, 4))
+        shape = (side * side, d)
+    else:
+        shape = (d, draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    values = st.floats(-30.0, 30.0)
+    student = draw(hnp.arrays(np.float64, shape, elements=values))
+    teacher = student.copy() if draw(st.booleans()) else draw(hnp.arrays(np.float64, shape, elements=values))
+    s_iou = draw(st.floats(0.0, 1.0 - EPSILON, exclude_min=True))
+    return as_tokens, student, teacher, s_iou
+
+
+@given(inputs=_ifc_inputs(), weight_seed=st.integers(0, 1000))
+@settings(max_examples=150, deadline=None)
+def test_l_ifc_is_bitwise_the_composed_graph(inputs, weight_seed):
+    as_tokens, student, teacher, s_iou = inputs
+    grid = tokens_to_grid if as_tokens else (lambda t: t)
+
+    def build_input():
+        leaf = Tensor(student, requires_grad=True)
+        return leaf, grid(leaf)
+
+    fused, composed = (_loss_and_input_grad(lambda z: fn(z, grid(Tensor(teacher)), s_iou), build_input,
+                                            weight_seed)
+                       for fn in (l_ifc, l_ifc_composed))
+    assert np.isfinite(fused[0])
+    _assert_bitwise(fused, composed)
+
+
+@pytest.mark.parametrize("side", ["student", "teacher"])
+def test_l_ifc_nan_feature_gives_nan_loss_like_the_composed_graph(side):
+    """A NaN anywhere in z makes the loss NaN, which the engine's
+    non-finite-loss check turns into a skipped image."""
+    rng = np.random.default_rng(10)
+    student, teacher = rng.normal(size=(2, 3, 2, 2))
+    (student if side == "student" else teacher)[1, 0, 1] = np.nan
+
+    def build_input():
+        leaf = Tensor(student, requires_grad=True)
+        return leaf, leaf
+
+    fused, composed = (_loss_and_input_grad(lambda z: fn(z, Tensor(teacher), 0.4), build_input, 0)
+                       for fn in (l_ifc, l_ifc_composed))
+    assert np.isnan(fused[0])
+    _assert_bitwise(fused, composed)
+
+
+def test_l_ifc_rejects_shape_mismatch():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        l_ifc(Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros((2, 2, 3))), 0.5)
+
+
+# -- combined objective# -- combined objective ------------------------------------------------------------
 
 
 def test_total_vanishes_for_confident_identical_pair():
@@ -357,3 +474,45 @@ def test_bce_matches_reference_formula():
     p = 1.0 / (1.0 + np.exp(-logits))
     want = -np.mean(gt * np.log(p) + (~gt) * np.log(1.0 - p))
     assert abs(bce_with_logits(Tensor(logits), gt).item() - want) <= 1e-9
+
+
+# logit where sigmoid reaches the clip bound 1 - EPSILON; beyond it the
+# entropy's gradient is exactly 0
+_CLIP_LOGIT = math.log((1.0 - EPSILON) / EPSILON)
+
+
+@given(x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                    elements=st.floats(-40.0, 40.0) | st.sampled_from(
+                        [np.inf, -np.inf, _CLIP_LOGIT, -_CLIP_LOGIT, 13.8, -13.8, 13.9, -13.9])),
+       transposed=st.booleans(), weight_seed=st.integers(0, 1000))
+@settings(max_examples=150, deadline=None)
+def test_entropy_is_bitwise_the_composed_graph(x, transposed, weight_seed):
+    """Logits inside and beyond the clip window and at ±inf, on a C-ordered
+    map or a transposed view of one."""
+    def build_input():
+        leaf = Tensor(x, requires_grad=True)
+        return leaf, (leaf.transpose() if transposed else leaf)
+
+    fused, composed = (_loss_and_input_grad(fn, build_input, weight_seed)
+                       for fn in (entropy_loss, entropy_composed))
+    assert np.isfinite(fused[0])
+    _assert_bitwise(fused, composed)
+
+
+def test_entropy_gradient_vanishes_beyond_the_clip_window():
+    x = Tensor(np.array([[-np.inf, -14.0, -13.0, 0.5], [13.0, 14.0, np.inf, 13.9]]), requires_grad=True)
+    entropy_loss(x).backward()
+    outside = np.abs(x.data) > _CLIP_LOGIT
+    assert np.all(x.grad[outside] == 0.0)
+    assert np.all(x.grad[~outside] != 0.0)
+
+
+def test_entropy_gradient_matches_finite_differences():
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.uniform(-5.0, 5.0, size=(3, 4)), requires_grad=True)
+    entropy_loss(x).backward()
+
+    def f():
+        return entropy_loss(Tensor(x.data)).item()
+
+    assert_grads_close(x.grad, numeric_grad(f, x), rtol=1e-6, atol=1e-10)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lora_param_names
+from conftest import lora_param_names, mean
 from fdcheck import assert_grads_close, numeric_grad
 from ttaseg import sbct
 from ttaseg.model import ModelConfig, SegModel, _config_fields, load_checkpoint, save_checkpoint, tokens_to_grid
@@ -384,7 +384,7 @@ def test_full_path_gradcheck_small(model16):
 
     def loss_tensor():
         out = model16.forward(sbct.transform_gray(x, u), box)
-        return (1.0 - out.s_iou) + out.m_high.sigmoid().mean()
+        return (1.0 - out.s_iou) + mean(out.m_high.sigmoid())
 
     loss_tensor().backward()
     grads = {"sbct": u.grad.copy(),

@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bce_composed, softmax, softplus, sqrt
+from conftest import bce_composed, clip, exp, log, log_softmax, mean, neg, softmax, softplus, sqrt
 from fdcheck import assert_grads_close, numeric_grad
 import ttaseg
 from ttaseg import adapt, losses, synthdata
 from ttaseg.model import ModelConfig, SegModel
 from ttaseg.pretrain import sample_loss
 from ttaseg.tensor import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, DomainError, ParamGroup, Tensor,
-                           adam_step, as_tensor, attention, concat, layer_norm, linear, log_softmax, no_grad)
+                           adam_step, as_tensor, attention, concat, layer_norm, linear, no_grad)
 
 
 def test_sigmoid_at_zero():
@@ -105,20 +105,20 @@ def test_backward_linearity():
     assert np.allclose(g12, g1 + g2, rtol=0, atol=1e-15)
 
 
-# the package's softmax is log_softmax(...).exp(), as l_ifc forms the teacher's p_t
+# the reference softmax of the composed l_ifc is exp(log_softmax(...)), as it forms the teacher's p_t
 
 
 def test_softmax_uniform_and_closed_form():
-    out = log_softmax(Tensor([1.7, 1.7, 1.7])).exp()
+    out = exp(log_softmax(Tensor([1.7, 1.7, 1.7])))
     assert np.allclose(out.data, [1 / 3] * 3, atol=1e-15)
-    out = log_softmax(Tensor([0.0, math.log(3.0)])).exp()
+    out = exp(log_softmax(Tensor([0.0, math.log(3.0)])))
     assert np.allclose(out.data, [0.25, 0.75], atol=1e-12)
 
 
 @pytest.mark.parametrize("temperature", [0.01, 1.0, 100.0])
 def test_softmax_normalizes(temperature):
     rng = np.random.default_rng(5)
-    out = log_softmax(Tensor(rng.normal(size=(3, 7))), axis=-1, temperature=temperature).exp()
+    out = exp(log_softmax(Tensor(rng.normal(size=(3, 7))), axis=-1, temperature=temperature))
     assert np.all(np.abs(out.data.sum(axis=-1) - 1.0) <= 1e-12)
 
 
@@ -147,7 +147,7 @@ def test_log_softmax_matches_log_of_softmax():
 
 def test_domain_errors_carry_provenance():
     with pytest.raises(DomainError, match="log"):
-        (Tensor([1.0, -2.0])).log()
+        log(Tensor([1.0, -2.0]))
     with pytest.raises(DomainError, match="zero divisor"):
         Tensor([1.0]) / Tensor([0.0])
 
@@ -155,7 +155,7 @@ def test_domain_errors_carry_provenance():
 def test_ops_do_not_mutate_inputs():
     x = Tensor([0.1, 0.2, 0.3], requires_grad=True)
     before = x.data.copy()
-    y = ((x * 3 - 1).sigmoid() + x.exp()).clip(0.0, 10.0)
+    y = clip((x * 3 - 1).sigmoid() + exp(x), 0.0, 10.0)
     (y.sum() / 2).backward()
     assert np.array_equal(x.data, before)
 
@@ -186,23 +186,23 @@ def test_concat_roundtrip_gradient():
 
 
 _UNARY_OPS = {
-    "log": (lambda t: t.log(), 0.05, 5.0),
-    "exp": (lambda t: t.exp(), -2.0, 2.0),
+    "log": (log, 0.05, 5.0),
+    "exp": (exp, -2.0, 2.0),
     "sigmoid": (lambda t: t.sigmoid(), -5.0, 5.0),
     "softplus": (softplus, -5.0, 5.0),
     "gelu": (lambda t: t.gelu(), -4.0, 4.0),
     "sin": (lambda t: t.sin(), -3.0, 3.0),
     "cos": (lambda t: t.cos(), -3.0, 3.0),
-    "neg": (lambda t: -t, -3.0, 3.0),
+    "neg": (neg, -3.0, 3.0),
     "recip": (lambda t: 1.0 / t, 0.2, 3.0),
     # inputs stay strictly inside the clip window so the kink is not sampled
-    "clip": (lambda t: t.clip(-10.0, 10.0), -3.0, 3.0),
+    "clip": (lambda t: clip(t, -10.0, 10.0), -3.0, 3.0),
 }
 
 
 def test_clip_blocks_gradient_outside_window():
     x = Tensor([-2.0, 0.5, 2.0], requires_grad=True)
-    x.clip(-1.0, 1.0).sum().backward()
+    clip(x, -1.0, 1.0).sum().backward()
     assert np.array_equal(x.grad, [0.0, 1.0, 0.0])
 
 
@@ -250,7 +250,7 @@ def test_reduction_and_shape_gradients(seed):
 
     def expr():
         flat = x.transpose(1, 0, 2).reshape(3, 8)
-        return (flat * w).sum(axis=1).mean() + x.sum(axis=(0, 2), keepdims=True).sum()
+        return mean((flat * w).sum(axis=1)) + x.sum(axis=(0, 2), keepdims=True).sum()
 
     def f():
         return float(expr().data)
@@ -276,9 +276,9 @@ def _composed_linear(x, w, b, lora=None, scale=1.0):
 
 
 def _composed_layer_norm(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
+    mu = mean(x, axis=-1, keepdims=True)
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = mean(xc * xc, axis=-1, keepdims=True)
     return xc / sqrt(var + 1e-5) * g + b
 
 
