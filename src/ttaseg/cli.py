@@ -191,7 +191,7 @@ def _cmd_eval(args) -> int:
         for i, (_, mask_path) in enumerate(pairs):
             gt = synthdata.read_mask(mask_path)
             sentinels.append(metrics.hd95_sentinel(gt.shape))
-            pred = synthdata.read_mask(pred_dir / f"pred_{i:05d}.pgm", like=(mask_path, gt.shape))
+            pred = synthdata.read_mask(pred_dir / f"pred_{i:05d}.pgm", mask_path, gt.shape)
             prev = carried.get(i)
             logged = (prev.pred_iou, prev.l_icm, prev.l_dpc, prev.l_ifc, prev.lambda_dpc) if prev else ()
             rows.append(metrics.score_row(i, pred, gt, *logged))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .metrics import binary_iou
 from .model import SegOutputs, tokens_to_grid
-from .tensor import Tensor, _stable_sigmoid
+from .tensor import Tensor, _stable_sigmoid, log_softmax
 
 EPSILON = 1e-6
 
@@ -84,11 +84,10 @@ def soft_dice(a: Tensor, b: Tensor) -> Tensor:
     return 1.0 - num / den
 
 
-# Each fused loss node below (soft_dice_logits, l_ifc, bce_with_logits and
-# entropy_loss) replaces a composite subgraph with one tape node, as
-# tensor.linear does: forward and backward run the composed graph's numpy
-# operations in its order, so the loss and every gradient are bit-identical
-# to the composition they name.
+# Each fused loss node in this module replaces a composite subgraph with one
+# tape node, as tensor.linear does: forward and backward run the composed
+# graph's numpy operations in its order, so the loss and every gradient are
+# bit-identical to the composition they name.
 
 
 def soft_dice_logits(logits: Tensor, target: np.ndarray) -> Tensor:
@@ -125,37 +124,16 @@ def l_ifc(z_student: Tensor, z_teacher: Tensor, s_iou: float) -> Tensor:
 
     Inputs are (D, H, W) feature grids; each channel is normalized over
     its spatial positions independently and the divergence is averaged
-    over all D*H*W entries. One node; the teacher side is detached, and
-    each log-softmax row is shifted by its maximum, a constant.
+    over all D*H*W entries.
     """
     if z_student.shape != z_teacher.shape:
         raise ValueError(f"l_ifc: shape mismatch {z_student.shape} vs {z_teacher.shape}")
     d, h, w = z_student.shape
-    inv_tau = 1.0 / (float(s_iou) + EPSILON)
-    inv_n = 1.0 / (d * h * w)
-
-    def log_softmax_rows(z: np.ndarray):
-        y = z.reshape(d, h * w) * inv_tau
-        shifted = y - np.max(y, axis=1, keepdims=True)
-        e = np.exp(shifted)
-        total = e.sum(axis=1, keepdims=True)
-        return shifted - np.log(total), e, total
-
-    logp_s, e_s, total_s = log_softmax_rows(z_student.data)
-    # a detached copy, as Tensor.detach makes, so its layout is the same
-    logp_t = log_softmax_rows(np.array(z_teacher.data))[0]
-    p_t = np.exp(logp_t)
-
-    def bw(g):
-        gdiff = np.full(p_t.shape, g * inv_n) * p_t
-        # logp_s = shifted - log(total): the row sums of its gradient reach
-        # total, and shifted takes it directly before the exp path adds in
-        gtotal = gdiff.sum(axis=1, keepdims=True) / total_s
-        gshifted = -gdiff
-        gshifted += gtotal * e_s
-        z_student._accum((gshifted * inv_tau).reshape(d, h, w))
-
-    return Tensor._node((p_t * (logp_t - logp_s)).sum() * inv_n, (z_student,), bw, "ifc")
+    tau = float(s_iou) + EPSILON
+    logp_s = log_softmax(z_student.reshape(d, h * w), axis=1, temperature=tau)
+    logp_t = log_softmax(z_teacher.detach().reshape(d, h * w), axis=1, temperature=tau)
+    p_t = logp_t.exp()
+    return (p_t * (logp_t - logp_s)).sum() * (1.0 / (d * h * w))
 
 
 PAPER_OBJECTIVE = ("icm", "lambda_dpc", "ifc")
@@ -228,14 +206,12 @@ def bce_with_logits(logits: Tensor, gt: np.ndarray) -> Tensor:
 
 
 def entropy_loss(m_high: Tensor) -> Tensor:
-    """Mean binary entropy of the fine-mask probabilities (TENT objective),
-    as one node: ``-(p * log(p) + (1 - p) * log(1 - p)).mean()`` with ``p``
-    the sigmoid clipped to [EPSILON, 1 - EPSILON]."""
+    """Mean binary entropy of the fine-mask probabilities (TENT objective) as one
+    node: ``-(p * log(p) + (1 - p) * log(1 - p)).mean()``, ``p`` the sigmoid clipped to [EPSILON, 1 - EPSILON]."""
     s = _stable_sigmoid(m_high.data)
     p = np.clip(s, EPSILON, 1.0 - EPSILON)
     q = 1.0 - p
-    lp = np.log(p)
-    lq = np.log(q)
+    lp, lq = np.log(p), np.log(q)
     inv_n = 1.0 / float(p.size)
 
     def bw(g):

@@ -314,24 +314,19 @@ def load_manifest(path) -> list:
     return pairs
 
 
-def read_mask(path, like=None) -> np.ndarray:
-    """A mask file as a boolean plane. It must be one gray (P5) plane and,
-    given ``like``, the (path, shape) of the file it pairs with, of that
-    file's height and width; the error names the file, and the pair's."""
+def read_mask(path, pair_path=None, pair_hw=None) -> np.ndarray:
+    """A mask file as a boolean plane: one gray (P5) plane, of the (height, width)
+    of the file it pairs with when given. The error names the file, and the pair's."""
     mask = netpbm.read_pnm(path) > 0.5
-    if like is None:
-        if mask.ndim != 2:
-            raise ValueError(f"mask {path} has shape {mask.shape}; a mask must be one gray plane")
-    elif mask.ndim != 2 or mask.shape != like[1][-2:]:
-        raise ValueError(f"{like[0]} has shape {like[1]} but {path} has shape {mask.shape}; "
-                         f"a mask must be one gray plane of the height and width of {like[0]}")
+    if mask.ndim != 2 or (pair_hw is not None and mask.shape != pair_hw):
+        fit = "" if pair_path is None else f" of the height and width {pair_hw} of {pair_path}"
+        raise ValueError(f"{path} has shape {mask.shape}; a mask must be one gray plane{fit}")
     return mask
 
 
 def load_sample(img_path, mask_path) -> StreamSample:
-    """One image and its mask; the mask must be a gray (P5) plane of the
-    image's height and width."""
+    """One image and its mask, a gray (P5) plane of the image's height and width."""
     image = netpbm.read_pnm(img_path)
-    mask = read_mask(mask_path, like=(img_path, image.shape))
+    mask = read_mask(mask_path, img_path, image.shape[-2:])
     box = oracle_box(mask) if mask.any() else None
     return StreamSample(image, mask, box)

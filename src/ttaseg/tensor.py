@@ -24,6 +24,7 @@ __all__ = [
     "linear",
     "layer_norm",
     "attention",
+    "log_softmax",
     "no_grad",
     "ParamGroup",
     "adam_step",
@@ -241,6 +242,27 @@ class Tensor:
         return Tensor._node(a.data @ b.data, (a, b), bw, "matmul")
 
     # -- elementwise transcendentals ------------------------------------
+
+    def log(self):
+        a = self
+        if np.any(a.data <= 0.0):
+            raise DomainError(
+                f"log: nonpositive input (min={a.data.min():.6g}, produced by op {a._op!r})"
+            )
+
+        def bw(g):
+            a._accum_owned(g / a.data)
+
+        return Tensor._node(np.log(a.data), (a,), bw, "log")
+
+    def exp(self):
+        a = self
+        out = np.exp(a.data)
+
+        def bw(g):
+            a._accum_owned(g * out)
+
+        return Tensor._node(out, (a,), bw, "exp")
 
     def sigmoid(self):
         a = self
@@ -470,6 +492,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
             q._accum_owned((gs @ np.swapaxes(kt, -1, -2)).transpose(1, 0, 2).reshape(nq, d))
 
     return Tensor._node(out, (q, k, v), bw, "attention")
+
+
+def log_softmax(x: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
+    """Numerically stable log of the temperature-scaled softmax.
+
+    The max shift is detached; softmax is invariant to additive shifts so
+    the gradient is unaffected.
+    """
+    if temperature <= 0:
+        raise ValueError(f"log_softmax: temperature must be positive, got {temperature}")
+    y = x * (1.0 / float(temperature))
+    shifted = y - Tensor(np.max(y.data, axis=axis, keepdims=True))
+    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 
 # -- optimizer -----------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from ttaseg import pretrain
 from ttaseg.losses import EPSILON
 from ttaseg.model import ModelConfig, SegModel, load_checkpoint
-from ttaseg.tensor import DomainError, Tensor, _stable_sigmoid
+from ttaseg.tensor import Tensor, _stable_sigmoid
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PINNED = json.loads((REPO_ROOT / "benchmarks" / "pinned.json").read_text())
@@ -54,20 +54,6 @@ def neg(x: Tensor) -> Tensor:
     return Tensor._node(-x.data, (x,), lambda g: x._accum_owned(-g), "neg")
 
 
-def exp(x: Tensor) -> Tensor:
-    """Elementwise exp as one tape node (slope exp(x))."""
-    out = np.exp(x.data)
-    return Tensor._node(out, (x,), lambda g: x._accum_owned(g * out), "exp")
-
-
-def log(x: Tensor) -> Tensor:
-    """Natural log as one tape node (slope 1 / x); a nonpositive input is
-    a DomainError that names the op that produced it."""
-    if np.any(x.data <= 0.0):
-        raise DomainError(f"log: nonpositive input (min={x.data.min():.6g}, produced by op {x._op!r})")
-    return Tensor._node(np.log(x.data), (x,), lambda g: x._accum_owned(g / x.data), "log")
-
-
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp to [lo, hi] as one tape node; the gradient passes only inside
     the window."""
@@ -82,36 +68,16 @@ def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return x.sum(axis=axis, keepdims=keepdims) * (1.0 / float(n))
 
 
-def log_softmax(x: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
-    """Log of the temperature-scaled softmax; the max shift is a constant,
-    which softmax is invariant to."""
-    if temperature <= 0:
-        raise ValueError(f"log_softmax: temperature must be positive, got {temperature}")
-    y = x * (1.0 / float(temperature))
-    shifted = y - Tensor(np.max(y.data, axis=axis, keepdims=True))
-    return shifted - log(exp(shifted).sum(axis=axis, keepdims=True))
-
-
 def bce_composed(logits: Tensor, gt: np.ndarray) -> Tensor:
     """The graph ``losses.bce_with_logits`` fuses into one node."""
     y = Tensor(gt.astype(np.float64))
     return mean(y * softplus(neg(logits)) + (1.0 - y) * softplus(logits))
 
 
-def l_ifc_composed(z_student: Tensor, z_teacher: Tensor, s_iou: float) -> Tensor:
-    """The graph ``losses.l_ifc`` fuses into one node."""
-    d, h, w = z_student.shape
-    tau = float(s_iou) + EPSILON
-    logp_s = log_softmax(z_student.reshape(d, h * w), axis=1, temperature=tau)
-    logp_t = log_softmax(z_teacher.detach().reshape(d, h * w), axis=1, temperature=tau)
-    p_t = exp(logp_t)
-    return (p_t * (logp_t - logp_s)).sum() * (1.0 / (d * h * w))
-
-
 def entropy_composed(m_high: Tensor) -> Tensor:
     """The graph ``losses.entropy_loss`` fuses into one node."""
     p = clip(m_high.sigmoid(), EPSILON, 1.0 - EPSILON)
-    return neg(mean(p * log(p) + (1.0 - p) * log(1.0 - p)))
+    return neg(mean(p * p.log() + (1.0 - p) * (1.0 - p).log()))
 
 
 def loss_and_grads(model, build):
@@ -136,7 +102,7 @@ def softmax(x: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
     """Temperature-scaled softmax built from elementary ops; the max shift
     is a constant."""
     y = x * (1.0 / float(temperature))
-    e = exp(y - Tensor(np.max(y.data, axis=axis, keepdims=True)))
+    e = (y - Tensor(np.max(y.data, axis=axis, keepdims=True))).exp()
     return e / e.sum(axis=axis, keepdims=True)
 
 

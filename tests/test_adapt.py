@@ -121,13 +121,13 @@ NODES_PER_IMAGE = {
     "none": (67, 0),
     "tent": (135, 61),
     "mean-teacher": (204, 63),
-    "sam-tta": (219, 80),
+    "sam-tta": (237, 90),
     "sbct-only": (216, 66),
 }
 SAM_TTA_TAPED_BY_OP = {
-    "add": 10, "attention": 3, "concat": 1, "cos": 1, "gelu": 5, "ifc": 1, "layer_norm": 5,
-    "linear": 27, "matmul": 2, "mul": 3, "reshape": 10, "sigmoid": 2, "sin": 1,
-    "soft_dice": 2, "sub": 1, "transpose": 3, "upstage": 3,
+    "add": 10, "attention": 3, "concat": 1, "cos": 1, "exp": 1, "gelu": 5, "layer_norm": 5,
+    "linear": 27, "log": 1, "matmul": 2, "mul": 6, "reshape": 11, "sigmoid": 2, "sin": 1,
+    "soft_dice": 2, "sub": 4, "sum": 2, "transpose": 3, "upstage": 3,
 }
 
 

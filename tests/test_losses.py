@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import (assert_same_loss_and_grads, entropy_composed, l_ifc_composed, loss_and_grads,
-                      softmax)
+from conftest import assert_same_loss_and_grads, entropy_composed, loss_and_grads, softmax
 from fdcheck import assert_grads_close, numeric_grad
 from ttaseg.losses import (EPSILON, LossBreakdown, RunningMax, bce_with_logits, confidence_stat,
                            entropy_loss, iou_head_loss, l_dpc, l_icm, l_ifc, lambda_dpc, soft_dice,
@@ -313,99 +312,14 @@ def test_l_ifc_gradient_through_the_token_grid_matches_finite_differences(s_iou)
     assert_grads_close(tokens.grad, numeric_grad(f, tokens), rtol=1e-6, atol=1e-9)
 
 
-def _nodes_built(monkeypatch, build):
-    """The ops of the tape nodes ``build()`` creates."""
-    made = []
-    node = Tensor._node.__func__
-
-    def counted(cls, data, parents, backward, op):
-        made.append(op)
-        return node(cls, data, parents, backward, op)
-
-    monkeypatch.setattr(Tensor, "_node", classmethod(counted))
-    build()
-    return made
-
-
-def test_fused_objective_terms_are_one_node_each(monkeypatch):
-    rng = np.random.default_rng(9)
-    z_s, z_t = (Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True) for _ in range(2))
-    m_high = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-    assert _nodes_built(monkeypatch, lambda: l_ifc(z_s, z_t, 0.5)) == ["ifc"]
-    assert _nodes_built(monkeypatch, lambda: entropy_loss(m_high)) == ["entropy"]
-
-
-def _loss_and_input_grad(fn, build_input, weight_seed):
-    """``fn``'s loss on the input ``build_input()`` makes from a fresh leaf,
-    and the leaf's gradient. The loss is scaled by a drawn weight, so the
-    node's backward starts from an arbitrary gradient. The leaf has a second
-    use (through a sigmoid, finite at ±inf) made after the node, so the
-    node's gradient lands on an already-written ``grad`` through whatever
-    views lie between."""
-    leaf, x = build_input()
-    loss = fn(x)
-    rng = np.random.default_rng(weight_seed)
-    (loss * rng.uniform(0.1, 3.0) + (leaf.sigmoid() * Tensor(rng.normal(size=leaf.shape))).sum()).backward()
-    return loss.data, leaf.grad
-
-
-def _assert_bitwise(fused, composed):
-    for got, want in zip(fused, composed):
-        assert np.array_equal(got, want, equal_nan=True)
-
-
-@st.composite
-def _ifc_inputs(draw):
-    """Student and teacher grids as the engine forms them (``tokens_to_grid``
-    views of (tokens, dim) rows) or as plain (D, H, W) arrays, with a
-    temperature from just above EPSILON up to 1."""
-    d = draw(st.integers(1, 4))
-    as_tokens = draw(st.booleans())
-    if as_tokens:
-        side = draw(st.integers(1, 4))
-        shape = (side * side, d)
-    else:
-        shape = (d, draw(st.integers(1, 4)), draw(st.integers(1, 4)))
-    values = st.floats(-30.0, 30.0)
-    student = draw(hnp.arrays(np.float64, shape, elements=values))
-    teacher = student.copy() if draw(st.booleans()) else draw(hnp.arrays(np.float64, shape, elements=values))
-    s_iou = draw(st.floats(0.0, 1.0 - EPSILON, exclude_min=True))
-    return as_tokens, student, teacher, s_iou
-
-
-@given(inputs=_ifc_inputs(), weight_seed=st.integers(0, 1000))
-@settings(max_examples=150, deadline=None)
-def test_l_ifc_is_bitwise_the_composed_graph(inputs, weight_seed):
-    as_tokens, student, teacher, s_iou = inputs
-    grid = tokens_to_grid if as_tokens else (lambda t: t)
-
-    def build_input():
-        leaf = Tensor(student, requires_grad=True)
-        return leaf, grid(leaf)
-
-    fused, composed = (_loss_and_input_grad(lambda z: fn(z, grid(Tensor(teacher)), s_iou), build_input,
-                                            weight_seed)
-                       for fn in (l_ifc, l_ifc_composed))
-    assert np.isfinite(fused[0])
-    _assert_bitwise(fused, composed)
-
-
 @pytest.mark.parametrize("side", ["student", "teacher"])
-def test_l_ifc_nan_feature_gives_nan_loss_like_the_composed_graph(side):
+def test_l_ifc_nan_feature_gives_nan_loss(side):
     """A NaN anywhere in z makes the loss NaN, which the engine's
     non-finite-loss check turns into a skipped image."""
     rng = np.random.default_rng(10)
     student, teacher = rng.normal(size=(2, 3, 2, 2))
     (student if side == "student" else teacher)[1, 0, 1] = np.nan
-
-    def build_input():
-        leaf = Tensor(student, requires_grad=True)
-        return leaf, leaf
-
-    fused, composed = (_loss_and_input_grad(lambda z: fn(z, Tensor(teacher), 0.4), build_input, 0)
-                       for fn in (l_ifc, l_ifc_composed))
-    assert np.isnan(fused[0])
-    _assert_bitwise(fused, composed)
+    assert np.isnan(l_ifc(Tensor(student, requires_grad=True), Tensor(teacher), 0.4).item())
 
 
 def test_l_ifc_rejects_shape_mismatch():
@@ -413,7 +327,7 @@ def test_l_ifc_rejects_shape_mismatch():
         l_ifc(Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros((2, 2, 3))), 0.5)
 
 
-# -- combined objective# -- combined objective ------------------------------------------------------------
+# -- combined objective ------------------------------------------------------------
 
 
 def test_total_vanishes_for_confident_identical_pair():
@@ -476,6 +390,38 @@ def test_bce_matches_reference_formula():
     assert abs(bce_with_logits(Tensor(logits), gt).item() - want) <= 1e-9
 
 
+def _nodes_built(monkeypatch, build):
+    """The ops of the tape nodes ``build()`` creates."""
+    made = []
+    node = Tensor._node.__func__
+
+    def counted(cls, data, parents, backward, op):
+        made.append(op)
+        return node(cls, data, parents, backward, op)
+
+    monkeypatch.setattr(Tensor, "_node", classmethod(counted))
+    build()
+    return made
+
+
+def test_entropy_is_one_node(monkeypatch):
+    m_high = Tensor(np.random.default_rng(9).normal(size=(4, 4)), requires_grad=True)
+    assert _nodes_built(monkeypatch, lambda: entropy_loss(m_high)) == ["entropy"]
+
+
+def _loss_and_input_grad(fn, x, transposed, weight_seed):
+    """``fn``'s loss on a leaf holding ``x`` (or on its transposed view), and
+    the leaf's gradient. The loss is scaled by a drawn weight, so the node's
+    backward starts from an arbitrary gradient, and the leaf has a second use
+    (through a sigmoid, finite at ±inf) made after the node, so the node's
+    gradient lands on an already-written ``grad`` through the view."""
+    leaf = Tensor(x, requires_grad=True)
+    loss = fn(leaf.transpose() if transposed else leaf)
+    rng = np.random.default_rng(weight_seed)
+    (loss * rng.uniform(0.1, 3.0) + (leaf.sigmoid() * Tensor(rng.normal(size=leaf.shape))).sum()).backward()
+    return loss.data, leaf.grad
+
+
 # logit where sigmoid reaches the clip bound 1 - EPSILON; beyond it the
 # entropy's gradient is exactly 0
 _CLIP_LOGIT = math.log((1.0 - EPSILON) / EPSILON)
@@ -489,14 +435,11 @@ _CLIP_LOGIT = math.log((1.0 - EPSILON) / EPSILON)
 def test_entropy_is_bitwise_the_composed_graph(x, transposed, weight_seed):
     """Logits inside and beyond the clip window and at ±inf, on a C-ordered
     map or a transposed view of one."""
-    def build_input():
-        leaf = Tensor(x, requires_grad=True)
-        return leaf, (leaf.transpose() if transposed else leaf)
-
-    fused, composed = (_loss_and_input_grad(fn, build_input, weight_seed)
+    fused, composed = (_loss_and_input_grad(fn, x, transposed, weight_seed)
                        for fn in (entropy_loss, entropy_composed))
     assert np.isfinite(fused[0])
-    _assert_bitwise(fused, composed)
+    for got, want in zip(fused, composed):
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_entropy_gradient_vanishes_beyond_the_clip_window():

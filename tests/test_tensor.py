@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bce_composed, clip, exp, log, log_softmax, mean, neg, softmax, softplus, sqrt
+from conftest import bce_composed, clip, mean, neg, softmax, softplus, sqrt
 from fdcheck import assert_grads_close, numeric_grad
 import ttaseg
 from ttaseg import adapt, losses, synthdata
 from ttaseg.model import ModelConfig, SegModel
 from ttaseg.pretrain import sample_loss
 from ttaseg.tensor import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, DomainError, ParamGroup, Tensor,
-                           adam_step, as_tensor, attention, concat, layer_norm, linear, no_grad)
+                           adam_step, as_tensor, attention, concat, layer_norm, linear, log_softmax, no_grad)
 
 
 def test_sigmoid_at_zero():
@@ -105,20 +105,20 @@ def test_backward_linearity():
     assert np.allclose(g12, g1 + g2, rtol=0, atol=1e-15)
 
 
-# the reference softmax of the composed l_ifc is exp(log_softmax(...)), as it forms the teacher's p_t
+# the package's softmax is log_softmax(...).exp(), as l_ifc forms the teacher's p_t
 
 
 def test_softmax_uniform_and_closed_form():
-    out = exp(log_softmax(Tensor([1.7, 1.7, 1.7])))
+    out = log_softmax(Tensor([1.7, 1.7, 1.7])).exp()
     assert np.allclose(out.data, [1 / 3] * 3, atol=1e-15)
-    out = exp(log_softmax(Tensor([0.0, math.log(3.0)])))
+    out = log_softmax(Tensor([0.0, math.log(3.0)])).exp()
     assert np.allclose(out.data, [0.25, 0.75], atol=1e-12)
 
 
 @pytest.mark.parametrize("temperature", [0.01, 1.0, 100.0])
 def test_softmax_normalizes(temperature):
     rng = np.random.default_rng(5)
-    out = exp(log_softmax(Tensor(rng.normal(size=(3, 7))), axis=-1, temperature=temperature))
+    out = log_softmax(Tensor(rng.normal(size=(3, 7))), axis=-1, temperature=temperature).exp()
     assert np.all(np.abs(out.data.sum(axis=-1) - 1.0) <= 1e-12)
 
 
@@ -147,7 +147,7 @@ def test_log_softmax_matches_log_of_softmax():
 
 def test_domain_errors_carry_provenance():
     with pytest.raises(DomainError, match="log"):
-        log(Tensor([1.0, -2.0]))
+        (Tensor([1.0, -2.0])).log()
     with pytest.raises(DomainError, match="zero divisor"):
         Tensor([1.0]) / Tensor([0.0])
 
@@ -155,7 +155,7 @@ def test_domain_errors_carry_provenance():
 def test_ops_do_not_mutate_inputs():
     x = Tensor([0.1, 0.2, 0.3], requires_grad=True)
     before = x.data.copy()
-    y = clip((x * 3 - 1).sigmoid() + exp(x), 0.0, 10.0)
+    y = clip((x * 3 - 1).sigmoid() + x.exp(), 0.0, 10.0)
     (y.sum() / 2).backward()
     assert np.array_equal(x.data, before)
 
@@ -186,8 +186,8 @@ def test_concat_roundtrip_gradient():
 
 
 _UNARY_OPS = {
-    "log": (log, 0.05, 5.0),
-    "exp": (exp, -2.0, 2.0),
+    "log": (lambda t: t.log(), 0.05, 5.0),
+    "exp": (lambda t: t.exp(), -2.0, 2.0),
     "sigmoid": (lambda t: t.sigmoid(), -5.0, 5.0),
     "softplus": (softplus, -5.0, 5.0),
     "gelu": (lambda t: t.gelu(), -4.0, 4.0),
