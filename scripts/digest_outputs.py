@@ -8,8 +8,11 @@ calibration experiment on a ct-like stream. Each line is ``<key> <value>``:
 the checkpoint digest, one ``metrics.csv`` + ``adapted.ckpt`` digest per
 run, the calibration delta, and the ``--dump-sbct`` output (every curve CSV,
 every composite) of a sam-tta K = 1 run on each stream written to files and
-read back, as the CLI reads it. Run it in two checkouts and diff the
-outputs to show that a change keeps behaviour byte for byte:
+read back, as the CLI reads it. Two ``reload`` lines close the list: the
+digest of the pretrained checkpoint and of a LoRA ``adapted.ckpt`` after
+``load_checkpoint`` and ``save_checkpoint``; the script fails if either
+differs from its original's. Run it in two checkouts and diff the outputs to
+show that a change keeps behaviour byte for byte:
 
     python3 scripts/digest_outputs.py > digests.txt
 
@@ -26,7 +29,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ttaseg import pretrain, synthdata  # noqa: E402
 from ttaseg.adapt import AdaptConfig, adapt_stream, load_stream, run_calibration  # noqa: E402
-from ttaseg.model import load_checkpoint  # noqa: E402
+from ttaseg.model import load_checkpoint, save_checkpoint  # noqa: E402
 
 STRATEGIES = ("none", "tent", "mean-teacher", "sam-tta", "sbct-only")
 STEPS = {"K1": {}, "K2": {"steps_per_image": 2, "reset_optimizer": True}}
@@ -68,6 +71,14 @@ def main():
             for kind, pattern in (("csv", "sbct_*.csv"), ("composite", "composite_*.ppm")):
                 files = sorted((out / "sbct").glob(pattern))
                 print(f"{stream_name}/sam-tta/K1/dump-sbct.{kind} {_sha(*files)}")
+        lora_ckpt = work / "mri-sam-tta-K1" / "adapted.ckpt"
+        for key, original in (("pretrained.ckpt", ckpt), ("mri/sam-tta/K1/adapted.ckpt", lora_ckpt)):
+            copy = work / "reloaded.ckpt"
+            save_checkpoint(load_checkpoint(original), copy)
+            digest = _sha(copy)
+            print(f"{key}.reload {digest}")
+            if digest != _sha(original):
+                sys.exit(f"{key}: load_checkpoint then save_checkpoint changed the bytes")
 
 
 if __name__ == "__main__":

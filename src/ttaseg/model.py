@@ -37,6 +37,10 @@ class ModelConfig:
     lora_targets: str = "qv"
 
     def __post_init__(self):
+        for name in ("image_size", "patch_size", "embed_dim", "attention_heads", "lowres_size", "highres_size",
+                     "lora_rank"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"ModelConfig: {name} must be positive")
         if self.image_size % self.patch_size:
             raise ValueError("ModelConfig: image_size must be divisible by patch_size")
         grid = self.image_size // self.patch_size
@@ -48,8 +52,6 @@ class ModelConfig:
             raise ValueError("ModelConfig: highres_size must equal image_size")
         if self.embed_dim % self.attention_heads:
             raise ValueError("ModelConfig: embed_dim must be divisible by attention_heads")
-        if self.lora_rank < 1:
-            raise ValueError("ModelConfig: lora_rank must be positive")
         if not set(self.lora_targets) <= set("qkvo") or not self.lora_targets:
             raise ValueError("ModelConfig: lora_targets must be a nonempty subset of 'qkvo'")
 
@@ -93,26 +95,30 @@ class SegOutputs:
 _UP_POS = ("00", "01", "10", "11")
 
 
-def _init_params(config: ModelConfig, rng: np.random.Generator) -> dict:
-    """Every layer declared once; the order of declarations is the order of
-    the RNG draws, so it fixes the weights of every seed."""
-    d, hidden = config.embed_dim, config.mlp_hidden
-    params = {}
+def tensor_table(config: ModelConfig, lora: bool = False) -> list:
+    """(name, shape, init) of every base tensor, or with ``lora`` of every
+    adapter tensor, in the order of the RNG draws, so it fixes the weights of
+    every seed. ``init`` is a normal's standard deviation, np.zeros or np.ones."""
+    d, r, hidden = config.embed_dim, config.lora_rank, config.mlp_hidden
+    if lora:
+        return [row for i in range(config.encoder_blocks) for proj in config.lora_targets
+                for row in ((f"enc{i}.attn.{proj}.lora_a", (r, d), 0.02),
+                            (f"enc{i}.attn.{proj}.lora_b", (d, r), np.zeros))]
+    rows = []
 
     def linear(prefix, out_dim, in_dim, tag=""):
-        params[f"{prefix}.w{tag}"] = Tensor(rng.normal(0.0, in_dim**-0.5, (out_dim, in_dim)))
-        params[f"{prefix}.b{tag}"] = Tensor(np.zeros(out_dim))
+        rows.extend([(f"{prefix}.w{tag}", (out_dim, in_dim), in_dim**-0.5),
+                     (f"{prefix}.b{tag}", (out_dim,), np.zeros)])
 
     def mlp(prefix, in_dim, out_dim, hidden_dim):
         linear(prefix, hidden_dim, in_dim, "1")
         linear(prefix, out_dim, hidden_dim, "2")
 
     def ln(prefix):
-        params[f"{prefix}.g"] = Tensor(np.ones(d))
-        params[f"{prefix}.b"] = Tensor(np.zeros(d))
+        rows.extend([(f"{prefix}.g", (d,), np.ones), (f"{prefix}.b", (d,), np.zeros)])
 
     linear("patch_embed", d, config.patch_dim)
-    params["pos_embed"] = Tensor(0.02 * rng.normal(size=(config.tokens, d)))
+    rows.append(("pos_embed", (config.tokens, d), 0.02))
     for i in range(config.encoder_blocks):
         ln(f"enc{i}.ln1")
         for proj in "qkvo":
@@ -121,7 +127,7 @@ def _init_params(config: ModelConfig, rng: np.random.Generator) -> dict:
         mlp(f"enc{i}.mlp", d, d, hidden)
     ln("ln_f")
 
-    params["prompt.freq"] = Tensor(rng.normal(size=(PROMPT_FREQS, 4)))
+    rows.append(("prompt.freq", (PROMPT_FREQS, 4), 1.0))
     mlp("prompt.mlp", 2 * PROMPT_FREQS, d, hidden)
 
     for proj in "qkvo":
@@ -138,7 +144,12 @@ def _init_params(config: ModelConfig, rng: np.random.Generator) -> dict:
     linear("dec.lowhead", 1, d0)
     linear("dec.highhead", 1, d2)
     mlp("dec.iou", d, 1, config.iou_hidden)
-    return params
+    return rows
+
+
+def _draw(rows: list, rng: np.random.Generator) -> dict:
+    return {name: Tensor(rng.normal(0.0, init, shape) if isinstance(init, float) else init(shape))
+            for name, shape, init in rows}
 
 
 class SegModel:
@@ -150,7 +161,7 @@ class SegModel:
 
     @classmethod
     def build(cls, config: ModelConfig, seed: int) -> "SegModel":
-        return cls(config, _init_params(config, np.random.default_rng([seed, 23])))
+        return cls(config, _draw(tensor_table(config), np.random.default_rng([seed, 23])))
 
     def clone(self) -> "SegModel":
         """A copy with storage of its own and every tensor frozen."""
@@ -168,12 +179,7 @@ class SegModel:
         """
         if self.has_lora:
             raise ValueError("attach_lora: adapters already present")
-        rng = np.random.default_rng([seed, 31])
-        d, r = self.config.embed_dim, self.config.lora_rank
-        for i in range(self.config.encoder_blocks):
-            for proj in self.config.lora_targets:
-                self.params[f"enc{i}.attn.{proj}.lora_a"] = Tensor(0.02 * rng.normal(size=(r, d)))
-                self.params[f"enc{i}.attn.{proj}.lora_b"] = Tensor(np.zeros((d, r)))
+        self.params.update(_draw(tensor_table(self.config, lora=True), np.random.default_rng([seed, 31])))
 
     def set_trainable(self, predicate):
         for name, p in self.params.items():
@@ -388,26 +394,29 @@ def load_checkpoint(path) -> SegModel:
         raise ValueError(f"checkpoint {path}: header field 'lora_targets' bitmask {mask} outside 1-{full}")
     has_lora = header.pop("has_lora")
     header["lora_targets"] = "".join(t for t, bit in _LORA_BITS.items() if header["lora_targets"] & bit)
-    config = ModelConfig(**header)
-    # the drawn values only fix the shapes; every one is overwritten below
-    model = SegModel.build(config, 0)
-    if has_lora:
-        model.attach_lora(0)
-    expected = {name: p.data.shape for name, p in model.params.items()}
-    seen = set()
+    try:
+        config = ModelConfig(**header)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from None
+    rows = tensor_table(config) + (tensor_table(config, lora=True) if has_lora else [])
+    expected = {name: shape for name, shape, _ in rows}
+    params = {}
     for _ in range(reader.u32()):
         name = reader.name()
         rank = reader.u32()
         dims = tuple(reader.u32() for _ in range(rank))
-        payload = reader.take(8 * int(np.prod(dims, dtype=np.int64)))
         if name not in expected:
             raise ValueError(f"checkpoint {path}: unexpected tensor {name!r}")
+        if name in params:
+            raise ValueError(f"checkpoint {path}: tensor {name!r} stored twice")
         if dims != expected[name]:
             raise ValueError(f"checkpoint {path}: tensor {name!r} has shape {dims}, expected {expected[name]}")
-        arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
-        model.params[name] = Tensor(arr)
-        seen.add(name)
-    missing = set(expected) - seen
+        payload = reader.take(8 * int(np.prod(dims, dtype=np.int64)))
+        params[name] = Tensor(np.frombuffer(payload, dtype="<f8").reshape(dims))
+    missing = expected.keys() - params.keys()
     if missing:
         raise ValueError(f"checkpoint {path}: missing tensors {sorted(missing)}")
-    return model
+    extra = len(reader.blob) - reader.pos
+    if extra:
+        raise ValueError(f"checkpoint {path}: {extra} bytes after the last tensor")
+    return SegModel(config, {name: params[name] for name in expected})

@@ -11,6 +11,7 @@ consumed by ``backward``.
 from __future__ import annotations
 
 import itertools
+import threading
 from contextlib import contextmanager
 from typing import Iterable, Mapping
 
@@ -31,7 +32,22 @@ __all__ = [
 ]
 
 _seq = itertools.count()
-_grad_enabled = True
+
+
+class _GradMode(threading.local):
+    """Whether the calling thread records operations on the tape."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+def __getattr__(name):
+    # the module attribute ``_grad_enabled`` is the calling thread's mode
+    if name == "_grad_enabled":
+        return _grad_mode.enabled
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class DomainError(ValueError):
@@ -40,14 +56,14 @@ class DomainError(ValueError):
 
 @contextmanager
 def no_grad():
-    """Disable graph recording inside the block (pure-inference forwards)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable graph recording inside the block (pure-inference forwards),
+    in the calling thread only."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_mode.enabled = prev
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -106,7 +122,7 @@ class Tensor:
     def _node(cls, data: np.ndarray, parents: tuple, backward, op: str) -> "Tensor":
         t = cls.__new__(cls)
         t.data = data if isinstance(data, np.ndarray) and data.dtype == np.float64 else np.asarray(data, dtype=np.float64)
-        t.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
+        t.requires_grad = _grad_mode.enabled and any(p.requires_grad for p in parents)
         t.grad = None
         if t.requires_grad:
             t._parents = parents

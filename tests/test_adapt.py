@@ -1,4 +1,5 @@
 import math
+import threading
 from collections import Counter
 
 import numpy as np
@@ -577,6 +578,36 @@ def test_adapt_stream_deterministic(base_model, tmp_path):
         adapt_stream(base_model, samples, AdaptConfig(strategy="sam-tta", seed=0), tmp_path / tag)
     assert (tmp_path / "a" / "metrics.csv").read_bytes() == (tmp_path / "b" / "metrics.csv").read_bytes()
     assert (tmp_path / "a" / "adapted.ckpt").read_bytes() == (tmp_path / "b" / "adapted.ckpt").read_bytes()
+
+
+def test_streams_in_free_running_threads_match_serial_runs(base_model, tmp_path):
+    """One strategy per thread, with no turn-taking: each run writes the
+    bytes its serial run writes, so no thread's no_grad reaches another."""
+    samples = target_stream(4)
+    strategies = ("none", "tent", "mean-teacher", "sam-tta")
+    for strategy in strategies:
+        adapt_stream(base_model, samples, AdaptConfig(strategy=strategy), tmp_path / "serial" / strategy)
+    errors = []
+
+    def run(strategy):
+        try:
+            adapt_stream(base_model, samples, AdaptConfig(strategy=strategy), tmp_path / "threads" / strategy)
+        except Exception as exc:  # a thread's failure is asserted on below
+            errors.append((strategy, exc))
+
+    threads = [threading.Thread(target=run, args=(strategy,)) for strategy in strategies]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert errors == []
+    for strategy in strategies:
+        serial, threaded = tmp_path / "serial" / strategy, tmp_path / "threads" / strategy
+        names = sorted(p.name for p in serial.iterdir())
+        assert names == sorted(p.name for p in threaded.iterdir())
+        assert {"metrics.csv", "adapted.ckpt", "pred_00003.pgm"} <= set(names)
+        for name in names:
+            assert (threaded / name).read_bytes() == (serial / name).read_bytes(), f"{strategy}: {name}"
 
 
 def test_order_sensitivity_and_frozen_invariance(base_model):

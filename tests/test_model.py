@@ -1,5 +1,6 @@
 import struct
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,6 +35,20 @@ def test_config_validation():
         ModelConfig(lora_targets="xz")
     with pytest.raises(ValueError, match="attention_heads"):
         ModelConfig(embed_dim=30)
+
+
+@pytest.mark.parametrize("field", ["image_size", "patch_size", "embed_dim", "attention_heads", "lowres_size",
+                                   "highres_size", "lora_rank"])
+@pytest.mark.parametrize("value", [0, -8])
+def test_config_rejects_a_non_positive_size_by_name(field, value):
+    with pytest.raises(ValueError, match=f"ModelConfig: {field} must be positive"):
+        ModelConfig(**{field: value})
+
+
+def test_config_rejects_zero_sizes_that_divide():
+    with pytest.raises(ValueError, match="image_size must be positive"):
+        ModelConfig(image_size=0, lowres_size=0, highres_size=0)
+    assert SegModel.build(ModelConfig(encoder_blocks=0), 0).params
 
 
 def test_encode_token_shape(model64):
@@ -286,13 +301,15 @@ def test_checkpoint_rejects_missing_or_extra_header_field(model16, tmp_path, mon
         load_checkpoint(path)
 
 
-def _hand_built_checkpoint(model, header_items) -> bytes:
-    """Checkpoint bytes with the header records exactly as given."""
+def _hand_built_checkpoint(model, header_items, names=None) -> bytes:
+    """Checkpoint bytes with the header records exactly as given, then the
+    model's tensors ``names`` (all, sorted, by default) in that order."""
+    names = sorted(model.params) if names is None else names
     out = [b"TTAF", struct.pack("<I", 1), struct.pack("<I", len(header_items))]
     for name, value in header_items:
         out.append(struct.pack("<I", len(name)) + name.encode() + struct.pack("<I", value))
-    out.append(struct.pack("<I", len(model.params)))
-    for name in sorted(model.params):
+    out.append(struct.pack("<I", len(names)))
+    for name in names:
         data = model.params[name].data
         out.append(struct.pack("<I", len(name)) + name.encode())
         out.append(struct.pack("<I", data.ndim) + struct.pack(f"<{data.ndim}I", *data.shape))
@@ -308,6 +325,66 @@ def test_checkpoint_rejects_duplicated_header_field(model16, tmp_path):
     path.write_bytes(_hand_built_checkpoint(model16, header + [("image_size", 16)]))
     with pytest.raises(ValueError, match="header field 'image_size' stored twice"):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_zero_size_in_the_header_by_name(model16, tmp_path):
+    header = dict(_config_fields(model16), patch_size=0)
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(_hand_built_checkpoint(model16, sorted(header.items())))
+    with pytest.raises(ValueError) as excinfo:
+        load_checkpoint(path)
+    assert str(excinfo.value) == f"checkpoint {path}: ModelConfig: patch_size must be positive"
+
+
+def test_checkpoint_rejects_a_tensor_stored_twice(model16, tmp_path):
+    header = sorted(_config_fields(model16).items())
+    names = sorted(model16.params)
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(_hand_built_checkpoint(model16, header, names + ["dec.attn.k.b"]))
+    with pytest.raises(ValueError, match=r"checkpoint .*m\.ckpt: tensor 'dec.attn.k.b' stored twice"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_bytes_after_the_last_tensor(model16, tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model16, path)
+    path.write_bytes(path.read_bytes() + bytes(7))
+    with pytest.raises(ValueError, match=r"checkpoint .*m\.ckpt: 7 bytes after the last tensor"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_loads_without_drawing_random_numbers(model16, tmp_path, monkeypatch):
+    base, adapted = tmp_path / "base.ckpt", tmp_path / "adapted.ckpt"
+    save_checkpoint(model16, base)
+    model16.attach_lora(seed=3)
+    save_checkpoint(model16, adapted)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    for path in (base, adapted):
+        loaded = load_checkpoint(path)
+        assert list(loaded.params) == [name for name in model16.params if path == adapted or ".lora_" not in name]
+        for name, p in loaded.params.items():
+            assert np.array_equal(p.data, model16.params[name].data)
+
+
+def test_header_only_checkpoint_of_a_large_model_allocates_little(model16, tmp_path):
+    """The header alone sizes nothing: a file that claims a 2048-pixel model
+    and stores no tensor is rejected before any weight is allocated."""
+    header = dict(_config_fields(model16), image_size=2048, lowres_size=512, highres_size=2048)
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(_hand_built_checkpoint(model16, sorted(header.items()), names=[]))
+    assert path.stat().st_size == 206
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="missing tensors"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("mask", [0, 16, 69])

@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import bce_composed, clip, mean, neg, softmax, softplus, sqrt
 from fdcheck import assert_grads_close, numeric_grad
 import ttaseg
-from ttaseg import adapt, losses, synthdata
+from ttaseg import adapt, losses, synthdata, tensor
 from ttaseg.model import ModelConfig, SegModel
 from ttaseg.pretrain import sample_loss
 from ttaseg.tensor import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, DomainError, ParamGroup, Tensor,
@@ -167,6 +168,30 @@ def test_no_grad_suppresses_graph():
     assert not y.requires_grad
     y.backward()  # no-op: nothing reachable
     assert x.grad is None
+
+
+def test_no_grad_holds_only_in_its_own_thread():
+    inside, release = threading.Event(), threading.Event()
+    modes = []
+
+    def hold():
+        with no_grad():
+            modes.append(tensor._grad_enabled)
+            inside.set()
+            release.wait()
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    inside.wait()
+    try:
+        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        (x * 2.0).sum().backward()
+        modes.append(tensor._grad_enabled)
+    finally:
+        release.set()
+        holder.join()
+    assert modes == [False, True]
+    assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
 
 
 def test_detach_breaks_graph_and_storage():
