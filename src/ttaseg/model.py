@@ -12,7 +12,7 @@ forward pass bit-identical.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from math import isqrt
 
 import numpy as np
@@ -27,29 +27,23 @@ _LORA_BITS = {"q": 1, "k": 2, "v": 4, "o": 8}
 @dataclass(frozen=True)
 class ModelConfig:
     image_size: int = 64
-    patch_size: int = 8
     embed_dim: int = 32
     encoder_blocks: int = 2
     attention_heads: int = 4
-    lowres_size: int = 16
-    highres_size: int = 64
     lora_rank: int = 4
     lora_targets: str = "qv"
 
+    # the decoder's three 2x stages take the token grid to the image side
+    patch_size = 8
+
     def __post_init__(self):
-        for name in ("image_size", "patch_size", "embed_dim", "attention_heads", "lowres_size", "highres_size",
-                     "lora_rank"):
+        for name in ("image_size", "embed_dim", "attention_heads", "lora_rank"):
             if getattr(self, name) < 1:
                 raise ValueError(f"ModelConfig: {name} must be positive")
+        if self.encoder_blocks < 0:
+            raise ValueError("ModelConfig: encoder_blocks must not be negative")
         if self.image_size % self.patch_size:
-            raise ValueError("ModelConfig: image_size must be divisible by patch_size")
-        grid = self.image_size // self.patch_size
-        if self.lowres_size != 2 * grid:
-            raise ValueError("ModelConfig: lowres_size must be twice the token grid side")
-        if self.highres_size % self.lowres_size or self.highres_size != 4 * self.lowres_size:
-            raise ValueError("ModelConfig: highres_size must be 4x lowres_size")
-        if self.highres_size != self.image_size:
-            raise ValueError("ModelConfig: highres_size must equal image_size")
+            raise ValueError(f"ModelConfig: image_size must be divisible by patch_size {self.patch_size}")
         if self.embed_dim % self.attention_heads:
             raise ValueError("ModelConfig: embed_dim must be divisible by attention_heads")
         if not set(self.lora_targets) <= set("qkvo") or not self.lora_targets:
@@ -58,6 +52,14 @@ class ModelConfig:
     @property
     def grid(self) -> int:
         return self.image_size // self.patch_size
+
+    @property
+    def lowres_size(self) -> int:
+        return 2 * self.grid
+
+    @property
+    def highres_size(self) -> int:
+        return self.image_size
 
     @property
     def tokens(self) -> int:
@@ -312,27 +314,28 @@ def tokens_to_grid(z: Tensor) -> Tensor:
 # -- checkpoint format ------------------------------------------------------
 #
 # magic "TTAF", u32 version, u32 field count, then (u32 name_len, name,
-# u32 value) header fields sorted by name: every ModelConfig field
-# (lora_targets as a q=1 k=2 v=4 o=8 bitmask) plus has_lora. Then u32
-# tensor count, then per tensor sorted by name: u32 name_len, name, u32
-# rank, u32 dims..., little-endian f64 data.
+# u32 value) header fields sorted by name: every ModelConfig field (lora_targets
+# as a q=1 k=2 v=4 o=8 bitmask), patch, lowres and highres sizes, has_lora.
+# Then u32 tensor count, then per tensor sorted by name: u32 name_len, name,
+# u32 rank, u32 dims..., little-endian f64 data.
 
 MAGIC = b"TTAF"
 VERSION = 1
+_MIN_RECORD = 17  # bytes of a tensor with a one-byte name, rank 0 and one f64
 
 
-def _config_fields(model: SegModel) -> dict:
-    """The header: every ModelConfig field (lora_targets as a bitmask) plus
-    has_lora."""
-    header = {f.name: getattr(model.config, f.name) for f in fields(ModelConfig)}
-    header["lora_targets"] = sum(_LORA_BITS[t] for t in header["lora_targets"])
-    header["has_lora"] = int(model.has_lora)
+def _header(config: ModelConfig, has_lora: bool) -> dict:
+    """The header of a checkpoint of ``config``, with or without adapters."""
+    names = [f.name for f in fields(ModelConfig)] + ["patch_size", "lowres_size", "highres_size"]
+    header = {name: getattr(config, name) for name in names}
+    header["lora_targets"] = sum(_LORA_BITS[t] for t in config.lora_targets)
+    header["has_lora"] = int(has_lora)
     return header
 
 
 def save_checkpoint(model: SegModel, path):
     out = [MAGIC, struct.pack("<I", VERSION)]
-    header = _config_fields(model)
+    header = _header(model.config, model.has_lora)
     out.append(struct.pack("<I", len(header)))
     for name in sorted(header):
         enc = name.encode()
@@ -370,8 +373,8 @@ class _Reader:
 
 
 def load_checkpoint(path) -> SegModel:
-    """Rebuild a model; every stored tensor must match the config-implied
-    shape table exactly, and vice versa."""
+    """Rebuild a model. The header must be its config's header, and every
+    stored tensor must match the config's tensor table exactly, and vice versa."""
     with open(path, "rb") as f:
         reader = _Reader(f.read(), path)
     if reader.take(4) != MAGIC:
@@ -379,29 +382,41 @@ def load_checkpoint(path) -> SegModel:
     version = reader.u32()
     if version != VERSION:
         raise ValueError(f"checkpoint {path}: unsupported version {version}")
-    header = {}
+    stored = {}
     for _ in range(reader.u32()):
         key = reader.name()
-        if key in header:
+        if key in stored:
             raise ValueError(f"checkpoint {path}: header field {key!r} stored twice")
-        header[key] = reader.u32()
-    names = {f.name for f in fields(ModelConfig)} | {"has_lora"}
-    if header.keys() != names:
-        raise ValueError(f"checkpoint {path}: header fields missing {sorted(names - header.keys())}, "
-                         f"unexpected {sorted(header.keys() - names)}")
-    mask, full = header["lora_targets"], sum(_LORA_BITS.values())
-    if not 1 <= mask <= full:
-        raise ValueError(f"checkpoint {path}: header field 'lora_targets' bitmask {mask} outside 1-{full}")
-    has_lora = header.pop("has_lora")
-    header["lora_targets"] = "".join(t for t, bit in _LORA_BITS.items() if header["lora_targets"] & bit)
+        stored[key] = reader.u32()
+    names = _header(ModelConfig(), False).keys()
+    if stored.keys() != names:
+        raise ValueError(f"checkpoint {path}: header fields missing {sorted(names - stored.keys())}, "
+                         f"unexpected {sorted(stored.keys() - names)}")
+    kwargs = {f.name: stored[f.name] for f in fields(ModelConfig)}
+    kwargs["lora_targets"] = "".join(t for t, bit in _LORA_BITS.items() if stored["lora_targets"] & bit)
     try:
-        config = ModelConfig(**header)
+        config = ModelConfig(**kwargs)
     except ValueError as exc:
         raise ValueError(f"checkpoint {path}: {exc}") from None
-    rows = tensor_table(config) + (tensor_table(config, lora=True) if has_lora else [])
-    expected = {name: shape for name, shape, _ in rows}
+    for key, value in sorted(_header(config, bool(stored["has_lora"])).items()):
+        if stored[key] != value:
+            raise ValueError(f"checkpoint {path}: header field {key!r} stores {stored[key]}, expected {value}")
+
+    def table(blocks):
+        small = replace(config, encoder_blocks=blocks)
+        return tensor_table(small) + (tensor_table(small, lora=True) if stored["has_lora"] else [])
+
+    count = reader.u32()
+    # len(table(encoder_blocks)) in closed form, so that a header claiming
+    # more tensors than the file can hold builds no table
+    at0, at1 = len(table(0)), len(table(1))
+    claimed = max(count, at0 + config.encoder_blocks * (at1 - at0))
+    left = len(reader.blob) - reader.pos
+    if claimed * _MIN_RECORD > left:
+        raise ValueError(f"checkpoint {path}: truncated, {left} bytes left cannot hold {claimed} tensors")
+    expected = {name: shape for name, shape, _ in table(config.encoder_blocks)}
     params = {}
-    for _ in range(reader.u32()):
+    for _ in range(count):
         name = reader.name()
         rank = reader.u32()
         dims = tuple(reader.u32() for _ in range(rank))

@@ -7,6 +7,7 @@ so writing a freshly read canonical file reproduces it byte for byte.
 from __future__ import annotations
 
 import io
+import os
 from pathlib import Path
 
 import numpy as np
@@ -51,9 +52,10 @@ def read_pnm(path) -> np.ndarray:
         if maxval != 255:
             raise ValueError(f"netpbm: only maxval 255 supported, got {maxval} in {path}")
         channels = 1 if magic == b"P5" else 3
-        payload = f.read(width * height * channels)
-        if len(payload) != width * height * channels:
+        size = width * height * channels
+        if os.fstat(f.fileno()).st_size - f.tell() < size:
             raise ValueError(f"netpbm: truncated payload in {path}")
+        payload = f.read(size)
     arr = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
     if channels == 1:
         return arr.reshape(height, width)

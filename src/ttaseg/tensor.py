@@ -10,6 +10,7 @@ consumed by ``backward``.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import threading
 from contextlib import contextmanager
@@ -366,23 +367,20 @@ class Tensor:
         self._consumed = True
         if not self.requires_grad:
             return
-        nodes = [self]
-        seen = {id(self)}
-        stack = [self]
-        while stack:
-            for p in stack.pop()._parents:
-                if p.requires_grad and id(p) not in seen:
-                    seen.add(id(p))
-                    nodes.append(p)
-                    stack.append(p)
-        nodes.sort(key=lambda n: n._seq, reverse=True)
         self.grad = np.ones((), dtype=np.float64)
-        for n in nodes:
-            if n._backward is not None and n.grad is not None:
-                n._backward(n.grad)
-        for n in nodes:
-            n._parents = ()
-            n._backward = None
+        # parents are older than their node, so newest-first runs each node after its consumers
+        heap = [(-self._seq, self)]
+        seen = {self._seq}
+        while heap:
+            n = heapq.heappop(heap)[1]
+            parents, backward = n._parents, n._backward
+            n._parents, n._backward = (), None
+            if backward is not None and n.grad is not None:
+                backward(n.grad)
+            for p in parents:
+                if p.requires_grad and p._seq not in seen:
+                    seen.add(p._seq)
+                    heapq.heappush(heap, (-p._seq, p))
 
 
 def as_tensor(x) -> Tensor:

@@ -18,12 +18,9 @@ PINNED = json.loads((REPO_ROOT / "benchmarks" / "pinned.json").read_text())
 # trainable scalars
 CONFIG16 = ModelConfig(
     image_size=16,
-    patch_size=8,
     embed_dim=8,
     encoder_blocks=2,
     attention_heads=2,
-    lowres_size=4,
-    highres_size=16,
     lora_rank=4,
 )
 

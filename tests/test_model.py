@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import lora_param_names, mean
 from fdcheck import assert_grads_close, numeric_grad
 from ttaseg import sbct
-from ttaseg.model import ModelConfig, SegModel, _config_fields, load_checkpoint, save_checkpoint, tokens_to_grid
+from ttaseg.model import ModelConfig, SegModel, _header, load_checkpoint, save_checkpoint, tokens_to_grid
 from ttaseg.synthdata import BoxPrompt
 from ttaseg.tensor import Tensor, no_grad
 
@@ -29,16 +29,13 @@ def _box(config):
 def test_config_validation():
     with pytest.raises(ValueError, match="divisible"):
         ModelConfig(image_size=60)
-    with pytest.raises(ValueError, match="lowres"):
-        ModelConfig(lowres_size=8)
     with pytest.raises(ValueError, match="lora_targets"):
         ModelConfig(lora_targets="xz")
     with pytest.raises(ValueError, match="attention_heads"):
         ModelConfig(embed_dim=30)
 
 
-@pytest.mark.parametrize("field", ["image_size", "patch_size", "embed_dim", "attention_heads", "lowres_size",
-                                   "highres_size", "lora_rank"])
+@pytest.mark.parametrize("field", ["image_size", "embed_dim", "attention_heads", "lora_rank"])
 @pytest.mark.parametrize("value", [0, -8])
 def test_config_rejects_a_non_positive_size_by_name(field, value):
     with pytest.raises(ValueError, match=f"ModelConfig: {field} must be positive"):
@@ -47,8 +44,13 @@ def test_config_rejects_a_non_positive_size_by_name(field, value):
 
 def test_config_rejects_zero_sizes_that_divide():
     with pytest.raises(ValueError, match="image_size must be positive"):
-        ModelConfig(image_size=0, lowres_size=0, highres_size=0)
+        ModelConfig(image_size=0)
     assert SegModel.build(ModelConfig(encoder_blocks=0), 0).params
+
+
+def test_config_rejects_a_negative_encoder_block_count_by_name():
+    with pytest.raises(ValueError, match="ModelConfig: encoder_blocks must not be negative"):
+        ModelConfig(encoder_blocks=-1)
 
 
 def test_encode_token_shape(model64):
@@ -291,12 +293,11 @@ def test_checkpoint_rejects_unsupported_version(model16, tmp_path):
     ("has_lora", {}, r"missing \['has_lora'\]"),
     (None, {"dropout": 1}, r"missing \[\], unexpected \['dropout'\]"),
 ], ids=["missing", "missing-has-lora", "extra"])
-def test_checkpoint_rejects_missing_or_extra_header_field(model16, tmp_path, monkeypatch, drop, add, message):
-    header = {k: v for k, v in _config_fields(model16).items() if k != drop}
+def test_checkpoint_rejects_missing_or_extra_header_field(model16, tmp_path, drop, add, message):
+    header = {k: v for k, v in _header(model16.config, False).items() if k != drop}
     header.update(add)
-    monkeypatch.setattr("ttaseg.model._config_fields", lambda model: header)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(model16, path)
+    path.write_bytes(_hand_built_checkpoint(model16, sorted(header.items())))
     with pytest.raises(ValueError, match=message):
         load_checkpoint(path)
 
@@ -318,7 +319,7 @@ def _hand_built_checkpoint(model, header_items, names=None) -> bytes:
 
 
 def test_checkpoint_rejects_duplicated_header_field(model16, tmp_path):
-    header = sorted(_config_fields(model16).items())
+    header = sorted(_header(model16.config, False).items())
     path = tmp_path / "m.ckpt"
     save_checkpoint(model16, path)
     assert _hand_built_checkpoint(model16, header) == path.read_bytes()
@@ -328,16 +329,31 @@ def test_checkpoint_rejects_duplicated_header_field(model16, tmp_path):
 
 
 def test_checkpoint_rejects_a_zero_size_in_the_header_by_name(model16, tmp_path):
-    header = dict(_config_fields(model16), patch_size=0)
+    header = dict(_header(model16.config, False), embed_dim=0)
     path = tmp_path / "m.ckpt"
     path.write_bytes(_hand_built_checkpoint(model16, sorted(header.items())))
     with pytest.raises(ValueError) as excinfo:
         load_checkpoint(path)
-    assert str(excinfo.value) == f"checkpoint {path}: ModelConfig: patch_size must be positive"
+    assert str(excinfo.value) == f"checkpoint {path}: ModelConfig: embed_dim must be positive"
+
+
+@pytest.mark.parametrize("field, value, expected", [
+    ("patch_size", 0, 8), ("lowres_size", 0, 4), ("highres_size", 0, 16), ("lowres_size", 8, 4), ("has_lora", 7, 1),
+])
+def test_checkpoint_rejects_a_header_field_its_config_does_not_give(model16, tmp_path, field, value, expected):
+    """The stored header must be the one its own config rebuilds: a derived
+    size that does not fit, or a has_lora that is not 0 or 1, is rejected."""
+    model16.attach_lora(seed=2)
+    header = dict(_header(model16.config, True), **{field: value})
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(_hand_built_checkpoint(model16, sorted(header.items())))
+    with pytest.raises(ValueError) as excinfo:
+        load_checkpoint(path)
+    assert str(excinfo.value) == f"checkpoint {path}: header field {field!r} stores {value}, expected {expected}"
 
 
 def test_checkpoint_rejects_a_tensor_stored_twice(model16, tmp_path):
-    header = sorted(_config_fields(model16).items())
+    header = sorted(_header(model16.config, False).items())
     names = sorted(model16.params)
     path = tmp_path / "m.ckpt"
     path.write_bytes(_hand_built_checkpoint(model16, header, names + ["dec.attn.k.b"]))
@@ -371,29 +387,37 @@ def test_checkpoint_loads_without_drawing_random_numbers(model16, tmp_path, monk
 
 
 def test_header_only_checkpoint_of_a_large_model_allocates_little(model16, tmp_path):
-    """The header alone sizes nothing: a file that claims a 2048-pixel model
-    and stores no tensor is rejected before any weight is allocated."""
-    header = dict(_config_fields(model16), image_size=2048, lowres_size=512, highres_size=2048)
+    """The header alone sizes nothing: a file that claims a 2048-pixel model,
+    or 4,294,967,295 encoder blocks, and stores no tensor is rejected before
+    any weight or any tensor table is allocated."""
     path = tmp_path / "m.ckpt"
-    path.write_bytes(_hand_built_checkpoint(model16, sorted(header.items()), names=[]))
-    assert path.stat().st_size == 206
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="missing tensors"):
-            load_checkpoint(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    for change, tensors in [({"image_size": 2048}, 90), ({"encoder_blocks": 2**32 - 1}, 58 + 16 * (2**32 - 1))]:
+        header = _header(replace(model16.config, **change), False)
+        path.write_bytes(_hand_built_checkpoint(model16, sorted(header.items()), names=[]))
+        assert path.stat().st_size == 206
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as excinfo:
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(excinfo.value) == f"checkpoint {path}: truncated, 0 bytes left cannot hold {tensors} tensors"
+        assert peak < 2**20
 
 
-@pytest.mark.parametrize("mask", [0, 16, 69])
-def test_checkpoint_rejects_lora_targets_outside_bitmask(model16, tmp_path, mask):
-    header = dict(_config_fields(model16), lora_targets=mask)
+@pytest.mark.parametrize("mask, message", [
+    (0, "ModelConfig: lora_targets must be a nonempty subset of 'qkvo'"),
+    (16, "ModelConfig: lora_targets must be a nonempty subset of 'qkvo'"),
+    (69, "header field 'lora_targets' stores 69, expected 5"),
+], ids=["0", "16", "69"])
+def test_checkpoint_rejects_lora_targets_outside_bitmask(model16, tmp_path, mask, message):
+    header = dict(_header(model16.config, False), lora_targets=mask)
     path = tmp_path / "m.ckpt"
     path.write_bytes(_hand_built_checkpoint(model16, sorted(header.items())))
-    with pytest.raises(ValueError, match=f"header field 'lora_targets' bitmask {mask} outside 1-15"):
+    with pytest.raises(ValueError) as excinfo:
         load_checkpoint(path)
+    assert str(excinfo.value) == f"checkpoint {path}: {message}"
 
 
 def test_checkpoint_rejects_unknown_tensor(model16, tmp_path):
@@ -420,9 +444,8 @@ def test_checkpoint_rejects_missing_tensor(model16, tmp_path):
        lora=st.booleans(), seed=st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
 def test_checkpoint_save_load_save_bytes_identical(grid, heads, head_dim, blocks, rank, targets, lora, seed):
-    config = ModelConfig(image_size=8 * grid, patch_size=8, embed_dim=heads * head_dim,
-                         encoder_blocks=blocks, attention_heads=heads, lowres_size=2 * grid,
-                         highres_size=8 * grid, lora_rank=rank, lora_targets="".join(targets))
+    config = ModelConfig(image_size=8 * grid, embed_dim=heads * head_dim, encoder_blocks=blocks,
+                         attention_heads=heads, lora_rank=rank, lora_targets="".join(targets))
     model = SegModel.build(config, seed=seed)
     if lora:
         model.attach_lora(seed=seed)

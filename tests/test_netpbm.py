@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,21 @@ def test_rejects_truncated_payload(tmp_path):
     path.write_bytes(b"P5\n4 4\n255\n\x00\x00")
     with pytest.raises(ValueError, match="truncated"):
         read_pnm(path)
+
+
+def test_a_size_the_file_cannot_hold_is_rejected_before_reading(tmp_path):
+    path = tmp_path / "huge.pgm"
+    path.write_bytes(b"P5\n1000000 1000000\n255\n" + bytes(10))
+    assert path.stat().st_size == 33
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as excinfo:
+            read_pnm(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(excinfo.value) == f"netpbm: truncated payload in {path}"
+    assert peak < 2**20
 
 
 def test_header_comments_are_skipped(tmp_path):
