@@ -7,11 +7,13 @@ Run it from the root of a source tree, as ``perfbench/run.py``: it imports
 ``ttaseg`` from ``src/`` and the workloads from ``perfbench/`` there, and
 writes only under ``.bench_work/`` there. It wraps ``workloads.set_up`` and
 ``workloads.adapt_pass`` from outside (nothing under ``perfbench/`` is
-edited), while a thread samples ``VmRSS`` from ``/proc/self/status`` every
-5 ms. It prints the RSS after the imports and at the start and end of
-every set-up and adaptation pass, each with the highest sample since the
-previous line, then the sampled peak, the kernel's high-water mark and the
-workload's own ``peak_rss_mb``. ``--seconds 0`` gives the shortest run:
+edited), and ``ttaseg.pretrain.pretrain``, while a thread samples ``VmRSS``
+from ``/proc/self/status`` every 5 ms. It prints the RSS after the imports
+and at the start and end of every set-up, pretraining call and adaptation
+pass, each with the highest sample since the previous line, then the
+sampled peak, the kernel's high-water mark and the workload's own
+``peak_rss_mb``. A set-up's pretraining lines separate its pretraining
+share from its stream share. ``--seconds 0`` gives the shortest run:
 two set-ups, each followed by a pass of the four strategies (and, for
 ``pretrain-source``, a pretraining call after the first pass).
 """
@@ -110,11 +112,13 @@ def main(argv=None) -> int:
 
     perfbench_run._blas_threads()  # as the benchmark pins them, before numpy loads
     import workloads
+    from ttaseg import pretrain
 
     sampler = Sampler()
     sampler.mark("after imports")
     workloads.set_up = _marked(sampler, workloads.set_up, "set-up")
     workloads.adapt_pass = _marked(sampler, workloads.adapt_pass, "pass")
+    pretrain.pretrain = _marked(sampler, pretrain.pretrain, "pretrain")
     work_root = ROOT / ".bench_work"
     work_root.mkdir(exist_ok=True)
     run = workloads.Run()

@@ -369,7 +369,12 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
     def name(self) -> str:
-        return self.take(self.u32()).decode()
+        raw = self.take(self.u32())
+        try:
+            return raw.decode()
+        except UnicodeDecodeError:
+            raise ValueError(f"checkpoint {self.path}: the {len(raw)}-byte name at offset "
+                             f"{self.pos - len(raw)} is not UTF-8") from None
 
 
 def load_checkpoint(path) -> SegModel:

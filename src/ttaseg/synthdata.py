@@ -5,6 +5,15 @@ The source domain is sharp, colored objects on textured backgrounds
 degraded by an intensity nonlinearity t -> t**gamma, boundary blur and
 additive noise. Geometry and appearance draws are shared across profiles
 so the same (seed, index) denotes the same underlying scene everywhere.
+
+A sample is made in three steps, each pure in (seed, index):
+``sample_spec`` draws the appearance (kind, colours, texture amplitude) and
+the profile's shift (gamma, blur); ``draw_scene`` draws the geometry (the
+7x7 texture cells, the object mask, the shade) into a ``Scene`` of about
+4.5 KiB; ``paint`` turns a scene into its 96 KiB (colour) or 32 KiB (gray)
+``StreamSample``, whose only draw is the degradation noise. A caller that
+revisits scenes, as pretraining does each epoch, keeps the scenes and
+paints them again rather than holding every image.
 """
 
 from __future__ import annotations
@@ -30,6 +39,10 @@ _TAG_APPEARANCE = 11
 _TAG_SHIFT = 13
 _TAG_GEOMETRY = 17
 _TAG_NOISE = 19
+
+# the canvas's row and column coordinates, built once and read-only
+_YY, _XX = np.mgrid[0:CANVAS, 0:CANVAS].astype(np.float64)
+_YY.flags.writeable = _XX.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -130,30 +143,29 @@ def sample_spec(seed: int, index: int, profile: ShiftProfile) -> SceneSpec:
     )
 
 
-def _smooth_field(rng: np.random.Generator, size: int, cells: int = 7) -> np.ndarray:
-    """Bilinearly upsampled coarse noise in [-1, 1]."""
-    coarse = rng.uniform(-1.0, 1.0, (cells, cells))
-    xs = np.linspace(0.0, cells - 1.0, size)
+def _smooth_field(coarse: np.ndarray) -> np.ndarray:
+    """Coarse noise in [-1, 1], bilinearly upsampled to the canvas."""
+    cells = coarse.shape[0]
+    xs = np.linspace(0.0, cells - 1.0, CANVAS)
     i0 = np.clip(np.floor(xs).astype(int), 0, cells - 2)
     f = xs - i0
     rows = coarse[i0] * (1.0 - f)[:, None] + coarse[i0 + 1] * f[:, None]
     return rows[:, i0] * (1.0 - f)[None, :] + rows[:, i0 + 1] * f[None, :]
 
 
-def _polar_mask(size: int, center, radius_fn) -> np.ndarray:
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
-    dy, dx = yy - center[0], xx - center[1]
+def _polar_mask(center, radius_fn) -> np.ndarray:
+    dy, dx = _YY - center[0], _XX - center[1]
     return np.hypot(dy, dx) <= radius_fn(np.arctan2(dy, dx))
 
 
-def _blob(rng: np.random.Generator, size: int, center, r0: float) -> np.ndarray:
+def _blob(rng: np.random.Generator, center, r0: float) -> np.ndarray:
     amp = rng.uniform(0.0, 0.22, 4)
     pha = rng.uniform(0.0, 2.0 * np.pi, 4)
 
     def radius(ang):
         return r0 * (1.0 + sum(amp[k] * np.cos((k + 2) * ang + pha[k]) for k in range(4)))
 
-    return _polar_mask(size, center, radius)
+    return _polar_mask(center, radius)
 
 
 def _draw_mask(rng: np.random.Generator, spec: SceneSpec) -> np.ndarray:
@@ -162,39 +174,57 @@ def _draw_mask(rng: np.random.Generator, spec: SceneSpec) -> np.ndarray:
         if spec.kind == "ellipse":
             a, b = rng.uniform(6.0, 18.0, 2)
             theta = rng.uniform(0.0, np.pi)
-            yy, xx = np.mgrid[0:CANVAS, 0:CANVAS].astype(np.float64)
-            dy, dx = yy - center[0], xx - center[1]
+            dy, dx = _YY - center[0], _XX - center[1]
             u = (dx * np.cos(theta) + dy * np.sin(theta)) / a
             v = (-dx * np.sin(theta) + dy * np.cos(theta)) / b
             mask = u * u + v * v <= 1.0
         elif spec.kind == "blob":
-            mask = _blob(rng, CANVAS, center, rng.uniform(7.0, 16.0))
+            mask = _blob(rng, center, rng.uniform(7.0, 16.0))
         else:  # lesion: blob plus an overlapping satellite
             r0 = rng.uniform(7.0, 14.0)
-            mask = _blob(rng, CANVAS, center, r0)
+            mask = _blob(rng, center, r0)
             offset = rng.uniform(-1.0, 1.0, 2) * r0
-            mask |= _blob(rng, CANVAS, center + offset, r0 * rng.uniform(0.3, 0.6))
+            mask |= _blob(rng, center + offset, r0 * rng.uniform(0.3, 0.6))
         if mask.sum() >= MIN_AREA:
             return mask
 
 
-def render_scene(spec: SceneSpec):
-    """Pre-degradation RGB rendering, returns (image (3,S,S), mask (S,S))."""
+@dataclass(frozen=True, eq=False)
+class Scene:
+    """What is drawn of one scene: its spec, the 7x7 texture cells, the
+    object mask, the radial shade and the mask's oracle box, about 4.5 KiB.
+    The arrays are read-only, so one scene can be painted many times."""
+
+    spec: SceneSpec
+    cells: np.ndarray  # (7, 7) coarse texture noise in [-1, 1]
+    mask: np.ndarray  # (S, S) bool
+    shade: float
+    box: BoxPrompt
+
+
+def draw_scene(spec: SceneSpec) -> Scene:
+    """Make the scene's geometry draws, in order: texture cells, mask, shade."""
     rng = _rng(spec.stream_seed, spec.index, _TAG_GEOMETRY)
-    field = _smooth_field(rng, CANVAS)
+    cells = rng.uniform(-1.0, 1.0, (7, 7))
     mask = _draw_mask(rng, spec)
     shade = rng.uniform(0.0, 0.3)
+    cells.flags.writeable = mask.flags.writeable = False
+    return Scene(spec, cells, mask, shade, oracle_box(mask))
+
+
+def paint(scene: Scene) -> StreamSample:
+    """Render a drawn scene in colour and degrade it by its spec; the noise
+    of ``degrade`` is the only random draw."""
+    spec, mask = scene.spec, scene.mask
+    field = _smooth_field(scene.cells)
     ys, xs = np.nonzero(mask)
-    cy, cx = ys.mean(), xs.mean()
-    yy, xx = np.mgrid[0:CANVAS, 0:CANVAS].astype(np.float64)
-    d = np.hypot(yy - cy, xx - cx)
-    dmax = d[mask].max() if d[mask].size else 1.0
-    radial = 1.0 - shade * d / max(dmax, 1.0)
+    d = np.hypot(_YY - ys.mean(), _XX - xs.mean())
+    radial = 1.0 - scene.shade * d / max(d[mask].max(), 1.0)
     img = np.empty((3, CANVAS, CANVAS))
     for c in range(3):
         img[c] = spec.bg_color[c] + spec.texture_amp * field
         img[c][mask] = (spec.obj_color[c] * radial)[mask]
-    return np.clip(img, 0.0, 1.0), mask
+    return StreamSample(degrade(np.clip(img, 0.0, 1.0), spec), mask, scene.box)
 
 
 def _gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
@@ -241,12 +271,7 @@ def generate(seed: int, n: int, profile: str) -> list:
     if profile not in PROFILES:
         raise ValueError(f"unknown shift profile {profile!r}; known: {sorted(PROFILES)}")
     prof = PROFILES[profile]
-    samples = []
-    for i in range(n):
-        spec = sample_spec(seed, i, prof)
-        rgb, mask = render_scene(spec)
-        samples.append(StreamSample(degrade(rgb, spec), mask, oracle_box(mask)))
-    return samples
+    return [paint(draw_scene(sample_spec(seed, i, prof))) for i in range(n)]
 
 
 def gen_source(seed: int, n: int) -> list:

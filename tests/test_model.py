@@ -369,6 +369,45 @@ def test_checkpoint_rejects_bytes_after_the_last_tensor(model16, tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_a_name_that_is_not_utf8_by_path(model16, tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model16, path)
+    blob = bytearray(path.read_bytes())
+    at = blob.index(b"dec.attn")
+    blob[at] = 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError) as excinfo:
+        load_checkpoint(path)
+    assert str(excinfo.value) == f"checkpoint {path}: the 12-byte name at offset {at} is not UTF-8"
+
+
+def test_checkpoint_byte_overwrites_load_identically_or_fail_naming_the_path(model16, tmp_path):
+    """Each byte of the header and the first tensor record, set to 0x00 and
+    then to 0xff: the file either loads and saves back to the same bytes, or
+    is rejected with a ValueError that names it."""
+    path, resaved = tmp_path / "m.ckpt", tmp_path / "resaved.ckpt"
+    save_checkpoint(model16, path)
+    blob = path.read_bytes()
+    first = sorted(model16.params)[0]
+    record = blob.index(first.encode()) - 4
+    end = record + 4 + len(first) + 4 + 4 * model16.params[first].data.ndim + 8 * model16.params[first].data.size
+    loaded_count = 0
+    for at in range(end):
+        for byte in (0x00, 0xFF):
+            changed = blob[:at] + bytes([byte]) + blob[at + 1:]
+            path.write_bytes(changed)
+            try:
+                loaded = load_checkpoint(path)
+            except ValueError as exc:
+                assert str(path) in str(exc), (at, byte, str(exc))
+                continue
+            save_checkpoint(loaded, resaved)
+            assert resaved.read_bytes() == changed, (at, byte)
+            loaded_count += 1
+    # every payload overwrite loads; some header byte overwrites are no change
+    assert loaded_count >= 2 * 8 * model16.params[first].data.size
+
+
 def test_checkpoint_loads_without_drawing_random_numbers(model16, tmp_path, monkeypatch):
     base, adapted = tmp_path / "base.ckpt", tmp_path / "adapted.ckpt"
     save_checkpoint(model16, base)

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import PINNED, assert_same_loss_and_grads, bce_composed, loss_and_grads
 from ttaseg import losses, synthdata
 from ttaseg.model import load_checkpoint
-from ttaseg.pretrain import VAL_SEED_OFFSET, PretrainConfig, downsample_mask, evaluate, pretrain, sample_loss
+from ttaseg.pretrain import (PAINT_CHUNK, VAL_SEED_OFFSET, PretrainConfig, downsample_mask, evaluate, pretrain,
+                             sample_loss)
 from ttaseg.tensor import Tensor
 
 TINY = PretrainConfig(epochs=1, lr=1e-3, seed=0, n_train=8, n_val=4)
@@ -37,6 +40,21 @@ def test_same_seed_gives_identical_checkpoint_bytes(tmp_path):
     pretrain(TINY, tmp_path / "a.ckpt")
     pretrain(TINY, tmp_path / "b.ckpt")
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+def test_training_images_held_do_not_grow_with_n_train(tmp_path):
+    """Training scenes are drawn once and painted PAINT_CHUNK at a time: 128
+    more training samples (12 MiB of colour images) add only their drawn
+    scenes, about 4.5 KiB each, to the peak."""
+    peaks = []
+    for n_train in (PAINT_CHUNK, 5 * PAINT_CHUNK):
+        tracemalloc.start()
+        try:
+            pretrain(PretrainConfig(epochs=1, n_train=n_train, n_val=2), tmp_path / "m.ckpt")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 * 2**20
 
 
 def test_pretrained_model_has_no_lora(tmp_path):

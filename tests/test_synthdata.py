@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,9 @@ from scipy.ndimage import binary_dilation, gaussian_filter, sobel
 
 from ttaseg import synthdata
 from ttaseg.netpbm import write_image, write_pgm
-from ttaseg.synthdata import (BOX_PAD, PROFILES, BoxPrompt, ShiftProfile, degrade, gen_source,
-                              gen_target, generate, load_manifest, load_sample, oracle_box,
-                              render_scene, sample_spec, write_dataset)
+from ttaseg.synthdata import (BOX_PAD, PROFILES, BoxPrompt, ShiftProfile, degrade, draw_scene,
+                              gen_source, gen_target, generate, load_manifest, load_sample,
+                              oracle_box, paint, sample_spec, write_dataset)
 
 
 def boundary_gradient_stat(image: np.ndarray, mask: np.ndarray, band: int = 1) -> float:
@@ -27,6 +29,14 @@ def boundary_gradient_stat(image: np.ndarray, mask: np.ndarray, band: int = 1) -
     contour = mask & ~binary_dilation(~mask)
     zone = binary_dilation(contour, iterations=band)
     return float(np.percentile(np.sqrt(mag2[zone]), 90))
+
+
+def render(spec):
+    """The scene's colour rendering before degradation, and its mask: the
+    scene painted with a spec that keeps the colours and adds no noise."""
+    scene = draw_scene(spec)
+    clean = replace(spec, grayscale=False, gamma=1.0, blur_sigma=0.0, noise_sigma=0.0)
+    return paint(replace(scene, spec=clean)).image, scene.mask
 
 
 def test_same_seed_is_bitwise_deterministic():
@@ -63,23 +73,44 @@ def test_identity_shift_degenerates_to_grayscale_of_source_render():
     for idx in range(4):
         spec_t = sample_spec(5, idx, identity)
         spec_s = sample_spec(5, idx, PROFILES["source"])
-        rgb, mask_s = render_scene(spec_s)
+        rgb, mask_s = render(spec_s)
         target = degrade(rgb, spec_t)
         luma = np.tensordot(np.array([0.299, 0.587, 0.114]), rgb, axes=1)
         assert np.array_equal(target, np.clip(luma, 0.0, 1.0))
-        _, mask_t = render_scene(spec_t)
+        _, mask_t = render(spec_t)
         assert np.array_equal(mask_s, mask_t)
 
 
 def test_blur_monotonically_reduces_boundary_gradient():
     spec = sample_spec(9, 0, PROFILES["source"])
-    rgb, mask = render_scene(spec)
+    rgb, mask = render(spec)
     stats = []
     for blur in (0.0, 0.5, 1.0, 2.0):
         shifted = spec.__class__(**{**spec.__dict__, "blur_sigma": blur, "grayscale": True,
                                     "noise_sigma": 0.0})
         stats.append(boundary_gradient_stat(degrade(rgb, shifted), mask))
     assert all(a > b for a, b in zip(stats, stats[1:]))
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_a_painted_scene_is_its_generated_sample(profile):
+    """paint(draw_scene(spec)) of one index is generate's sample at that
+    index, whichever scenes were drawn and painted before it."""
+    samples = generate(4, 6, profile)
+    for i in (5, 2, 0, 4, 1, 3, 2):
+        sample = paint(draw_scene(sample_spec(4, i, PROFILES[profile])))
+        assert np.array_equal(sample.image, samples[i].image)
+        assert np.array_equal(sample.gt_mask, samples[i].gt_mask)
+        assert sample.box == samples[i].box
+
+
+def test_a_drawn_scene_is_small_and_read_only():
+    scene = draw_scene(sample_spec(8, 0, PROFILES["source"]))
+    assert scene.cells.nbytes + scene.mask.nbytes < 4.5 * 1024
+    for array in (scene.cells, scene.mask):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0
+    assert np.array_equal(paint(scene).image, paint(scene).image)
 
 
 def test_unknown_profile_rejected():
