@@ -106,7 +106,9 @@ def soft_dice_logits(logits: Tensor, target: np.ndarray) -> Tensor:
         # sum(a) is the later use of a, so its gradient lands first
         ga = gnum * 2.0 * target
         ga += gden
-        logits._accum_owned(ga * a * (1.0 - a))
+        part = ga * a
+        part *= np.subtract(1.0, a, out=ga)
+        logits._accum_owned(part)
 
     return Tensor._node(1.0 - num / den, (logits,), bw, "soft_dice")
 
@@ -191,16 +193,27 @@ def bce_with_logits(logits: Tensor, gt: np.ndarray) -> Tensor:
     if logits.shape != gt.shape:
         raise ValueError(f"bce_with_logits: shape mismatch {logits.shape} vs {gt.shape}")
     x = logits.data
-    y = gt.astype(np.float64)
-    not_y = 1.0 - y
     inv_n = 1.0 / float(x.size)
-    total = (y * np.logaddexp(0.0, -x) + not_y * np.logaddexp(0.0, x)).sum() * inv_n
+    # y and 1 - y are made again by the backward rather than held
+    y = gt.astype(np.float64)
+    soft = -x
+    np.logaddexp(0.0, soft, out=soft)
+    terms = y * soft
+    np.logaddexp(0.0, x, out=soft)
+    soft *= np.subtract(1.0, y, out=y)
+    terms += soft
+    total = terms.sum() * inv_n
 
     def bw(g):
         gsum = g * inv_n
         # the softplus(x) branch was built last, so it lands first
-        logits._accum_owned(gsum * not_y * _stable_sigmoid(x))
-        logits._accum_owned(-(gsum * y * _stable_sigmoid(-x)))
+        y = gt.astype(np.float64)
+        part = 1.0 - y
+        np.multiply(gsum, part, out=part)
+        logits._accum_owned(part * _stable_sigmoid(x))
+        np.multiply(gsum, y, out=y)
+        part = y * _stable_sigmoid(-x)
+        logits._accum_owned(np.negative(part, out=part))
 
     return Tensor._node(total, (logits,), bw, "bce")
 
@@ -213,16 +226,29 @@ def entropy_loss(m_high: Tensor) -> Tensor:
     q = 1.0 - p
     lp, lq = np.log(p), np.log(q)
     inv_n = 1.0 / float(p.size)
+    terms = p * lp
+    terms += q * lq
 
     def bw(g):
-        gsum = np.full(p.shape, -g * inv_n)
+        # every pixel's share of the mean; the gradient is C-ordered whatever
+        # the layout of the input
+        gsum = -g * inv_n
+        gp = np.full(p.shape, gsum)
         # p reaches the sum four times; the later uses land first: log(1 - p),
         # 1 - p as a factor, log(p), p as a factor
-        gp = -(gsum * q / q)
-        gp -= gsum * lq
-        gp += gsum * lp
-        gp += gsum * p / p
-        inside = (s >= EPSILON) & (s <= 1.0 - EPSILON)
-        m_high._accum_owned(gp * inside * s * (1.0 - s))
+        gp *= q
+        gp /= q
+        np.negative(gp, out=gp)
+        term = gsum * lq
+        gp -= term
+        np.multiply(gsum, lp, out=term)
+        gp += term
+        np.multiply(gsum, p, out=term)
+        term /= p
+        gp += term
+        gp *= (s >= EPSILON) & (s <= 1.0 - EPSILON)
+        gp *= s
+        gp *= np.subtract(1.0, s, out=term)
+        m_high._accum_owned(gp)
 
-    return Tensor._node(-((p * lp + q * lq).sum() * inv_n), (m_high,), bw, "entropy")
+    return Tensor._node(-(terms.sum() * inv_n), (m_high,), bw, "entropy")

@@ -71,9 +71,10 @@ def binary_iou(pred: np.ndarray, gt: np.ndarray) -> float:
 def boundary_pixels(mask: np.ndarray) -> np.ndarray:
     """Coordinates of foreground pixels 4-adjacent to background or the edge."""
     mask = _as_bool(mask)
-    padded = np.pad(mask, 1, constant_values=False)
-    interior = (padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:])
-    return np.argwhere(mask & ~interior)
+    # only a pixel off the edge can have four foreground neighbours
+    edge = mask.copy()
+    edge[1:-1, 1:-1] &= ~(mask[:-2, 1:-1] & mask[2:, 1:-1] & mask[1:-1, :-2] & mask[1:-1, 2:])
+    return np.argwhere(edge)
 
 
 def percentile_linear(values: np.ndarray, q: float) -> float:

@@ -224,23 +224,34 @@ class SegModel:
         hh, ww, din = f.shape
         flat = f.data.reshape(hh * ww, din)
         layers = [(self.params[f"{prefix}.{pos}.w"], self.params[f"{prefix}.{pos}.b"]) for pos in _UP_POS]
-        pre = np.stack([flat @ w.data.transpose() + b.data for w, b in layers])
-        act, t = gelu_parts(pre)
-        dout = pre.shape[2]
-        out = act.reshape(2, 2, hh, ww, dout).transpose(2, 0, 3, 1, 4).reshape(2 * hh, 2 * ww, dout)
+        dout = layers[0][1].shape[0]
+        pre = np.empty((4, hh * ww, dout))
+        for i, (w, b) in enumerate(layers):
+            np.matmul(flat, w.data.transpose(), out=pre[i])
+            pre[i] += b.data
+        out = np.empty((2 * hh, 2 * ww, dout))
+        # position (a, b) of every 2x2 block, as a view of the output
+        blocks = out.reshape(hh, 2, ww, 2, dout).transpose(1, 3, 0, 2, 4)
+        pre_ab = pre.reshape(2, 2, hh, ww, dout)
+        _, t = gelu_parts(pre_ab, out=blocks)
 
         def bw(g):
-            slope = gelu_slope(pre, t)
-            per_pos = g.reshape(hh, 2, ww, 2, dout).transpose(1, 3, 0, 2, 4).reshape(4, hh * ww, dout)
+            slope = gelu_slope(pre_ab, t)
+            per_pos = g.reshape(hh, 2, ww, 2, dout).transpose(1, 3, 0, 2, 4)
             gflat = None
             for i in reversed(range(4)):
                 w, b = layers[i]
-                gpre = per_pos[i] * slope[i]
+                # written over the slope of position i, which nothing reads again
+                at = slope[i // 2, i % 2]
+                gpre = np.multiply(per_pos[i // 2, i % 2], at, out=at).reshape(hh * ww, dout)
                 if b.requires_grad:
                     b._accum_owned(gpre.sum(axis=0))
                 if f.requires_grad:
                     contribution = gpre @ w.data
-                    gflat = contribution if gflat is None else gflat + contribution
+                    if gflat is None:
+                        gflat = contribution
+                    else:
+                        gflat += contribution
                 if w.requires_grad:
                     w._accum_owned((flat.T @ gpre).transpose())
             if f.requires_grad:

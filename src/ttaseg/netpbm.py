@@ -13,13 +13,13 @@ from pathlib import Path
 import numpy as np
 
 
-def _read_token(stream: io.BufferedReader) -> bytes:
+def _read_token(stream: io.BufferedReader, path) -> bytes:
     """Next whitespace-delimited header token, skipping '#' comments."""
     tok = b""
     while True:
         ch = stream.read(1)
         if not ch:
-            raise ValueError("netpbm: truncated header")
+            raise ValueError(f"netpbm: truncated header in {path}")
         if ch == b"#":
             while ch not in (b"\n", b""):
                 ch = stream.read(1)
@@ -33,7 +33,7 @@ def _read_token(stream: io.BufferedReader) -> bytes:
 
 def _header_field(stream: io.BufferedReader, name: str, path) -> int:
     """The next header token as a positive decimal integer."""
-    token = _read_token(stream)
+    token = _read_token(stream, path)
     if not token.isdigit() or int(token) <= 0:
         raise ValueError(f"netpbm: {name} must be a positive integer, got {token.decode(errors='replace')!r} "
                          f"in {path}")

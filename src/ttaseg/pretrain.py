@@ -67,11 +67,14 @@ def sample_loss(model: SegModel, sample: synthdata.StreamSample):
 
 
 def evaluate(model: SegModel, samples) -> dict:
-    """Frozen inference over samples through the adaptation engine's
-    ``none`` strategy: mean Dice and IoU-head calibration."""
+    """Frozen inference over samples, any iterable, in one pass through the
+    adaptation engine's ``none`` strategy: mean Dice and IoU-head calibration."""
     engine = adapt.AdaptEngine(model, adapt.AdaptConfig(strategy="none"))
-    rows = [engine.process(s)[1] for s in samples]
-    return metrics.summarize(rows, [metrics.hd95_sentinel(s.gt_mask.shape) for s in samples])
+    rows, sentinels = [], []
+    for s in samples:
+        rows.append(engine.process(s)[1])
+        sentinels.append(metrics.hd95_sentinel(s.gt_mask.shape))
+    return metrics.summarize(rows, sentinels)
 
 
 def pretrain(cfg: PretrainConfig, out_path) -> dict:
@@ -83,7 +86,10 @@ def pretrain(cfg: PretrainConfig, out_path) -> dict:
     model = SegModel.build(ModelConfig(), cfg.seed)
     source = synthdata.PROFILES["source"]
     scenes = [synthdata.draw_scene(synthdata.sample_spec(cfg.seed, i, source)) for i in range(cfg.n_train)]
-    val = synthdata.gen_source(cfg.seed + VAL_SEED_OFFSET, cfg.n_val)
+    # the scenes of gen_source(cfg.seed + VAL_SEED_OFFSET, cfg.n_val), each
+    # painted only while it is scored
+    val_scenes = [synthdata.draw_scene(synthdata.sample_spec(cfg.seed + VAL_SEED_OFFSET, i, source))
+                  for i in range(cfg.n_val)]
 
     for p in model.params.values():
         p.requires_grad = True
@@ -104,7 +110,7 @@ def pretrain(cfg: PretrainConfig, out_path) -> dict:
                     raise RuntimeError(f"pretrain: non-finite loss at epoch {epoch}, sample {int(idx)}")
                 loss.backward()
                 adam_step(group, cfg.lr)
-        val_summary = evaluate(model, val)
+        val_summary = evaluate(model, map(synthdata.paint, val_scenes))
         history.append(val_summary["mean_dice"])
         if best is None or val_summary["mean_dice"] > best["mean_dice"]:
             best = val_summary

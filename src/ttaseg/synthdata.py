@@ -33,6 +33,7 @@ KINDS = ("ellipse", "blob", "lesion")
 
 # luma weights for color -> gray conversion (Rec. 601)
 _LUMA = np.array([0.299, 0.587, 0.114])
+_LUMA.flags.writeable = False
 
 # sub-stream tags so each random decision has its own generator
 _TAG_APPEARANCE = 11

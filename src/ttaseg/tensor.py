@@ -68,22 +68,49 @@ def no_grad():
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows; both branches are exact where selected
-    s = 1.0 / (1.0 + np.exp(-np.abs(x)))
-    return np.where(x >= 0, s, 1.0 - s)
+    # exp(-|x|) never overflows; both branches are exact where selected.
+    # Each kernel's first out= array takes the input's layout, and keeps the
+    # result of a 0-d input an array that later ops can write to
+    s = np.abs(x, out=np.empty_like(x))
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    np.add(1.0, s, out=s)
+    np.divide(1.0, s, out=s)
+    return np.subtract(1.0, s, out=s, where=~(x >= 0))
 
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 
 
-def gelu_parts(x: np.ndarray):
-    """tanh-form GELU of ``x`` and the tanh term its slope reuses."""
-    t = np.tanh(_GELU_C * (x + 0.044715 * x * x * x))
-    return 0.5 * x * (1.0 + t), t
+def gelu_parts(x: np.ndarray, out=None):
+    """tanh-form GELU of ``x`` and the tanh term its slope reuses, as
+    ``t = tanh(C * (x + 0.044715 * x * x * x))`` and ``0.5 * x * (1 + t)``;
+    the GELU is written into ``out`` when given."""
+    t = np.multiply(0.044715, x, out=np.empty_like(x))
+    t *= x
+    t *= x
+    np.add(x, t, out=t)
+    np.multiply(_GELU_C, t, out=t)
+    np.tanh(t, out=t)
+    out = np.multiply(0.5, x, out=np.empty_like(x) if out is None else out)
+    out *= np.add(1.0, t)
+    return out, t
 
 
 def gelu_slope(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
+    """``0.5 * (1 + t) + 0.5 * x * (1 - t * t) * C * (1 + 3 * 0.044715 * x * x)``."""
+    slope = np.multiply(0.5, x, out=np.empty_like(x))
+    u = np.multiply(t, t, out=np.empty_like(t))
+    np.subtract(1.0, u, out=u)
+    slope *= u
+    slope *= _GELU_C
+    np.multiply(3.0 * 0.044715, x, out=u)
+    u *= x
+    np.add(1.0, u, out=u)
+    slope *= u
+    np.add(1.0, t, out=u)
+    np.multiply(0.5, u, out=u)
+    return np.add(u, slope, out=slope)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -296,7 +323,8 @@ class Tensor:
         out, t = gelu_parts(a.data)
 
         def bw(g):
-            a._accum_owned(g * gelu_slope(a.data, t))
+            slope = gelu_slope(a.data, t)
+            a._accum_owned(np.multiply(g, slope, out=slope))
 
         return Tensor._node(out, (a,), bw, "gelu")
 
@@ -412,12 +440,15 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor, lora=None, scale: float = 1.0) -> Tensor:
     """``x @ wᵀ + b``, plus ``(x @ aᵀ @ bbᵀ) * scale`` when ``lora = (a, bb)``."""
     xd = x.data
-    out = xd @ w.data.transpose() + b.data
+    out = xd @ w.data.transpose()
+    out += b.data
     parents = (x, w, b)
     if lora is not None:
         a, bb = lora
         low = xd @ a.data.transpose()
-        out = out + (low @ bb.data.transpose()) * scale
+        delta = low @ bb.data.transpose()
+        delta *= scale
+        out += delta
         parents += (a, bb)
 
     def bw(g):
@@ -447,8 +478,14 @@ def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
     xd = x.data
     inv_n = 1.0 / float(xd.shape[-1])
     xc = xd - xd.sum(axis=-1, keepdims=True) * inv_n
-    root = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) * inv_n + 1e-5)
-    xn = xc / root
+    xn = xc * xc
+    root = xn.sum(axis=-1, keepdims=True)
+    root *= inv_n
+    root += 1e-5
+    np.sqrt(root, out=root)
+    np.divide(xc, root, out=xn)
+    out = xn * g.data
+    out += b.data
 
     def bw(grad):
         if b.requires_grad:
@@ -459,17 +496,25 @@ def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
             return
         gxn = grad * g.data
         gxc = gxn / root
-        groot = _unbroadcast(-gxn * xc / (root * root), root.shape)
+        np.negative(gxn, out=gxn)
+        # a product of two full-size operands is left to numpy, which picks
+        # its layout, and with it the order in which the sum below adds
+        gsq = gxn * xc
+        gsq /= root * root
+        groot = _unbroadcast(gsq, root.shape)
         gvar = groot * (0.5 / root) * inv_n
         # the squared deviation feeds xc twice, so it lands twice
-        gsq = np.broadcast_to(gvar, xd.shape) * xc
+        np.multiply(np.broadcast_to(gvar, xd.shape), xc, out=gsq)
         gxc += gsq
         gxc += gsq
+        # gxn takes -gxc in gxc's layout, before x may adopt gxc
+        gmean = _unbroadcast(np.negative(gxc, out=gxn), root.shape)
+        gmean *= inv_n
         # the centred path reaches x before the mean path
         x._accum_owned(gxc)
-        x._accum(np.broadcast_to(_unbroadcast(-gxc, root.shape) * inv_n, xd.shape))
+        x._accum(np.broadcast_to(gmean, xd.shape))
 
-    return Tensor._node(xn * g.data + b.data, (x, g, b), bw, "layer_norm")
+    return Tensor._node(out, (x, g, b), bw, "layer_norm")
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
@@ -482,8 +527,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     kt = k.data.reshape(nk, heads, hd).transpose(1, 0, 2).transpose(0, 2, 1)
     vh = v.data.reshape(nk, heads, hd).transpose(1, 0, 2)
     scale = hd**-0.5
-    s = qh @ kt * scale
-    e = np.exp(s - np.max(s, axis=-1, keepdims=True))
+    e = qh @ kt
+    e *= scale
+    e -= np.max(e, axis=-1, keepdims=True)
+    np.exp(e, out=e)
     den = e.sum(axis=-1, keepdims=True)
     att = e / den
     out = (att @ vh).transpose(1, 0, 2).reshape(nq, d)
@@ -496,9 +543,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         if not (q.requires_grad or k.requires_grad):
             return
         gatt = gav @ np.swapaxes(vh, -1, -2)
-        ge = gatt / den
-        ge += np.broadcast_to(_unbroadcast(-gatt * e / (den * den), den.shape), e.shape)
-        gs = ge * e * scale
+        gs = gatt / den
+        np.negative(gatt, out=gatt)
+        gatt *= e
+        gatt /= den * den
+        gs += np.broadcast_to(_unbroadcast(gatt, den.shape), e.shape)
+        gs *= e
+        gs *= scale
         if k.requires_grad:
             gkt = np.swapaxes(qh, -1, -2) @ gs
             k._accum_owned(gkt.transpose(0, 2, 1).transpose(1, 0, 2).reshape(nk, d))

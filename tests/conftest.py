@@ -31,6 +31,26 @@ def lora_param_names(config: ModelConfig) -> list:
             for proj in config.lora_targets for ab in "ab"]
 
 
+# -- reference kernels: the one-expression forms of the package's in-place
+# elementwise kernels, which tests compare them with bit for bit
+
+GELU_C = 0.7978845608028654  # sqrt(2/pi)
+
+
+def stable_sigmoid_ref(x):
+    s = 1.0 / (1.0 + np.exp(-np.abs(x)))
+    return np.where(x >= 0, s, 1.0 - s)
+
+
+def gelu_parts_ref(x):
+    t = np.tanh(GELU_C * (x + 0.044715 * x * x * x))
+    return 0.5 * x * (1.0 + t), t
+
+
+def gelu_slope_ref(x, t):
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
+
+
 # -- reference tape ops: composed graphs that tests compare the package with
 
 

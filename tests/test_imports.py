@@ -1,9 +1,13 @@
-"""The package imports nothing beyond numpy and the standard library, and
-defines nothing that only code outside it calls."""
+"""The package imports nothing beyond numpy and the standard library,
+defines nothing that only code outside it calls, and holds no writable
+array at module level."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
+
+import numpy as np
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ttaseg"
 ALLOWED = {"numpy", *sys.stdlib_module_names}
@@ -32,6 +36,7 @@ def test_package_imports_only_numpy_and_the_standard_library():
 # the reason it stays; anything else that only tests call belongs in tests
 UNREFERENCED = {
     "cli._Parser.error": "argparse calls it",
+    "synthdata.gen_source": "perfbench's tracer wraps it by name, and scripts call it",
     "synthdata.gen_target": "perfbench and scripts call it",
     "losses.soft_dice": "criterion c02 checks it",
     "tensor.Tensor.item": "the tests' scalar accessor",
@@ -60,3 +65,15 @@ def test_every_package_definition_is_referenced_in_the_package():
     unreferenced = {qualified for module, tree in trees.items()
                     for qualified, name in _definitions(tree.body, module) if name not in referenced}
     assert unreferenced == set(UNREFERENCED)
+
+
+def test_every_module_level_array_is_read_only():
+    """An array held by a module outlives every call, so no call may write
+    to it; streams adapted in threads rely on sharing no buffer."""
+    writable = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "ttaseg" if path.stem == "__init__" else f"ttaseg.{path.stem}"
+        for attr, value in vars(importlib.import_module(name)).items():
+            if isinstance(value, np.ndarray) and value.flags.writeable:
+                writable.append(f"{path.stem}.{attr}")
+    assert writable == []

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
 
 from ttaseg.metrics import (CSV_HEADER, MetricsRow, binary_iou, boundary_pixels, dice, hd95,
@@ -117,6 +118,35 @@ def test_boundary_matches_oracle():
         mask = random_mask(rng, side=12, p=0.4)
         got = {tuple(p) for p in boundary_pixels(mask)}
         assert got == set(oracle_boundary(mask))
+
+
+def padded_boundary_pixels(mask):
+    """The form ``boundary_pixels`` had: a background border padded on, and
+    the interior test run on the padded copy."""
+    padded = np.pad(mask, 1, constant_values=False)
+    interior = padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
+    return np.argwhere(mask & ~interior)
+
+
+def _assert_same_boundary(mask):
+    got, want = boundary_pixels(mask), padded_boundary_pixels(mask)
+    assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+
+
+@given(mask=hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12)))
+@settings(max_examples=300, deadline=None)
+def test_boundary_is_the_padded_form_in_order(mask):
+    _assert_same_boundary(mask)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2), (2, 5), (6, 6)], ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("fill", ["all-true", "all-false", "edge-touching"])
+def test_boundary_is_the_padded_form_on_degenerate_masks(shape, fill):
+    mask = np.full(shape, fill == "all-true")
+    if fill == "edge-touching":
+        mask[: max(1, shape[0] // 2 + 1)] = True
+    _assert_same_boundary(mask)
+    _assert_same_boundary(mask.T)
 
 
 def test_hd95_identical_masks_zero():

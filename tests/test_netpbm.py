@@ -104,3 +104,30 @@ def test_color_read_shape_and_values(tmp_path):
     img = read_pnm(path)
     assert img.shape == (3, 2, 2)
     assert np.allclose(img[0], 0.0) and np.allclose(img[2], 1.0)
+
+
+@pytest.mark.parametrize("head", [b"P5", b"P5\n64", b"P5\n64 6", b"P6\n# c"],
+                         ids=["magic-only", "width-only", "no-maxval", "in-comment"])
+def test_a_truncated_header_is_rejected_naming_the_file(tmp_path, head):
+    path = tmp_path / "t.pgm"
+    path.write_bytes(head)
+    with pytest.raises(ValueError) as excinfo:
+        read_pnm(path)
+    assert str(excinfo.value) == f"netpbm: truncated header in {path}"
+
+
+@pytest.mark.parametrize("write, image", [(write_pgm, np.linspace(0.0, 1.0, 6).reshape(2, 3)),
+                                          (write_ppm, np.linspace(0.0, 1.0, 18).reshape(3, 2, 3))],
+                         ids=["P5", "P6"])
+def test_every_truncation_loads_or_fails_naming_the_file(tmp_path, write, image):
+    whole = tmp_path / "whole.pnm"
+    write(whole, image)
+    blob = whole.read_bytes()
+    path = tmp_path / "cut.pnm"
+    for end in range(len(blob)):
+        path.write_bytes(blob[:end])
+        with pytest.raises(ValueError) as excinfo:
+            read_pnm(path)
+        assert str(path) in str(excinfo.value), end
+    path.write_bytes(blob)
+    assert np.array_equal(read_pnm(path), read_pnm(whole))

@@ -11,15 +11,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conftest import bce_composed, clip, mean, neg, softmax, softplus, sqrt
+from conftest import (bce_composed, clip, entropy_composed, gelu_parts_ref, gelu_slope_ref, mean, neg, softmax, softplus,
+                      sqrt, stable_sigmoid_ref)
 from fdcheck import assert_grads_close, numeric_grad
 import ttaseg
 from ttaseg import adapt, losses, synthdata, tensor
 from ttaseg.model import ModelConfig, SegModel
 from ttaseg.pretrain import sample_loss
-from ttaseg.tensor import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, DomainError, ParamGroup, Tensor,
-                           adam_step, as_tensor, attention, concat, layer_norm, linear, log_softmax, no_grad)
+from ttaseg.tensor import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, DomainError, ParamGroup, Tensor, _stable_sigmoid,
+                           adam_step, as_tensor, attention, concat, gelu_parts, gelu_slope, layer_norm, linear,
+                           log_softmax, no_grad)
 
 
 def test_sigmoid_at_zero():
@@ -153,12 +156,39 @@ def test_domain_errors_carry_provenance():
         Tensor([1.0]) / Tensor([0.0])
 
 
-def test_ops_do_not_mutate_inputs():
+def _fused_node_cases(model):
+    """(name, the arrays a fused node reads, a function building the node)
+    for every fused node of the package, every input trainable."""
+    rng = np.random.default_rng(23)
+    leaves, linear_lora, _ = _linear_case("all", True, 24)
+    cases = [("linear-lora", leaves, linear_lora)]
+    leaves = _leaves(rng, [(5, 6), (6,), (6,)], {0, 1, 2})
+    cases.append(("layer_norm", leaves, lambda leaves=leaves: layer_norm(*leaves)))
+    leaves = _leaves(rng, [(3, 6), (5, 6), (5, 6)], {0, 1, 2})
+    cases.append(("attention", leaves, lambda leaves=leaves: attention(*leaves, 2)))
+    leaves, upstage, _ = _upstage_case(model, True, True)
+    cases.append(("upstage", leaves, upstage))
+    x = Tensor(rng.normal(0.0, 2.0, (12, 23)), requires_grad=True)
+    target, gt = rng.uniform(0.0, 1.0, (12, 23)), rng.uniform(size=(12, 23)) < 0.4
+    cases += [("soft_dice", [x, target], lambda: losses.soft_dice_logits(x, target)),
+              ("bce", [x, gt], lambda: losses.bce_with_logits(x, gt)),
+              ("entropy", [x], lambda: losses.entropy_loss(x))]
+    return cases
+
+
+def test_ops_do_not_mutate_inputs(model16):
     x = Tensor([0.1, 0.2, 0.3], requires_grad=True)
     before = x.data.copy()
     y = clip((x * 3 - 1).sigmoid() + x.exp(), 0.0, 10.0)
     (y.sum() / 2).backward()
     assert np.array_equal(x.data, before)
+    for name, inputs, build in _fused_node_cases(model16):
+        arrays = [t.data if isinstance(t, Tensor) else t for t in inputs]
+        before = [a.copy() for a in arrays]
+        out = build()
+        _weighted_loss(out, inputs[0], 7).backward()
+        for i, (a, b) in enumerate(zip(arrays, before)):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f"{name}: input {i} changed"
 
 
 def test_no_grad_suppresses_graph():
@@ -282,6 +312,50 @@ def test_reduction_and_shape_gradients(seed):
 
     expr().backward()
     assert_grads_close(x.grad, numeric_grad(f, x), rtol=1e-6, atol=1e-8, label="shape-ops")
+
+
+# -- in-place elementwise kernels -----------------------------------------------
+#
+# Each against its one-expression form in conftest, bit for bit, on values
+# that reach every branch of the arithmetic: signed zeros, infinities, NaN,
+# subnormals, magnitudes up to 1e300, where x * x * x overflows, and near
+# the largest float, where a regrouped product overflows too.
+
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300,
+            1e-300, 20.0, -20.0, 750.0, -750.0, 1e308, -1e308, np.finfo(np.float64).max]
+_kernel_inputs = dict(
+    x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=5),
+                 elements=st.floats(-40.0, 40.0) | st.floats(-1e300, 1e300) | st.sampled_from(_SPECIAL)),
+    transposed=st.booleans())
+
+
+def _same_array(got, want):
+    """Same dtype, shape, values and memory order; the stride of a length-1
+    axis does not place any element, so it is not compared."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert [stride for n, stride in zip(got.shape, got.strides) if n > 1] == \
+        [stride for n, stride in zip(want.shape, want.strides) if n > 1]
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@given(**_kernel_inputs)
+@settings(max_examples=300, deadline=None)
+def test_stable_sigmoid_is_bitwise_its_reference(x, transposed):
+    x = x.T if transposed else x
+    with np.errstate(all="ignore"):
+        _same_array(_stable_sigmoid(x), stable_sigmoid_ref(x))
+
+
+@given(**_kernel_inputs)
+@settings(max_examples=300, deadline=None)
+def test_gelu_kernels_are_bitwise_their_references(x, transposed):
+    x = x.T if transposed else x
+    with np.errstate(all="ignore"):
+        (out, t), (out_ref, t_ref) = gelu_parts(x), gelu_parts_ref(x)
+        _same_array(out, out_ref)
+        _same_array(t, t_ref)
+        _same_array(gelu_slope(x, t), gelu_slope_ref(x, t_ref))
 
 
 # -- fused nodes -------------------------------------------------------------
@@ -413,6 +487,17 @@ def test_layer_norm_is_bitwise_the_composed_graph(trainable):
     _assert_bitwise_equal(lambda: layer_norm(*leaves), lambda: _composed_layer_norm(*leaves), leaves)
 
 
+@pytest.mark.parametrize("trainable", [{0, 1, 2}, {0}], ids=["all", "input-only"])
+def test_layer_norm_is_bitwise_the_composed_graph_under_a_transposed_gradient(trainable):
+    """The output read through a transpose, so that the gradient reaching
+    the node is transposed, as the encoder's last one is under ``l_ifc``:
+    its backward mixes that layout with its own. Rows of 11 are long enough
+    for a row sum's order to depend on the layout."""
+    leaves = _leaves(np.random.default_rng(13), [(5, 11), (11,), (11,)], trainable)
+    _assert_bitwise_equal(lambda: layer_norm(*leaves).transpose(),
+                          lambda: _composed_layer_norm(*leaves).transpose(), leaves)
+
+
 def test_layer_norm_gradients_match_finite_differences():
     leaves = _leaves(np.random.default_rng(14), [(5, 6), (6,), (6,)], {0, 1, 2})
     _assert_grads_match_finite_differences(lambda: layer_norm(*leaves), leaves)
@@ -488,6 +573,38 @@ def _soft_bce_case(seed):
 def test_fused_loss_is_bitwise_the_composed_graph(case, seed):
     leaves, fused, composed = case(seed)
     _assert_bitwise_equal(fused, composed, leaves)
+
+
+# (fused node, composed graph) of each loss on logits x and a probability map t
+_LOSS_PAIRS = {
+    "soft_dice": (losses.soft_dice_logits, lambda x, t: losses.soft_dice(x.sigmoid(), Tensor(t))),
+    "bce": (lambda x, t: losses.bce_with_logits(x, t < 0.4), lambda x, t: bce_composed(x, t < 0.4)),
+    "bce-soft-labels": (losses.bce_with_logits, bce_composed),
+    "entropy": (lambda x, t: losses.entropy_loss(x), lambda x, t: entropy_composed(x)),
+}
+
+
+@pytest.mark.parametrize("name, transposed", [(name, which) for name in _LOSS_PAIRS for which in ("logits", "target")
+                                              if (name, which) != ("entropy", "target")])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fused_loss_is_bitwise_the_composed_graph_when_one_operand_is_transposed(name, transposed, seed):
+    """The logits or the target stored transposed, with the loss the logits'
+    only use, so the node's gradient becomes the leaf's. Where a product
+    mixes the two layouts, numpy picks the result's, and with it the order in
+    which the loss's sum, or a later sum of the gradient, adds."""
+    def stored(a, which):
+        return np.ascontiguousarray(a.T).T if which == transposed else a
+
+    def loss_and_grad(fn):
+        rng = np.random.default_rng(seed)
+        x = Tensor(stored(rng.normal(0.0, 2.0, (12, 23)), "logits"), requires_grad=True)
+        loss = fn(x, stored(rng.uniform(0.0, 1.0, (12, 23)), "target"))
+        (loss * float(x.size)).backward()
+        return loss.data, x.grad
+
+    (loss, grad), (loss_ref, grad_ref) = (loss_and_grad(fn) for fn in _LOSS_PAIRS[name])
+    _same_array(loss, loss_ref)
+    _same_array(grad, grad_ref)
 
 
 @pytest.mark.parametrize("case", [_soft_dice_case, _bce_case, _soft_bce_case], ids=["soft_dice", "bce", "bce-soft-labels"])
