@@ -7,13 +7,14 @@ Run it from the root of a source tree, as ``perfbench/run.py``: it imports
 ``ttaseg`` from ``src/`` and the workloads from ``perfbench/`` there, and
 writes only under ``.bench_work/`` there. It wraps ``workloads.set_up`` and
 ``workloads.adapt_pass`` from outside (nothing under ``perfbench/`` is
-edited), and ``ttaseg.pretrain.pretrain``, while a thread samples ``VmRSS``
-from ``/proc/self/status`` every 5 ms. It prints the RSS after the imports
-and at the start and end of every set-up, pretraining call and adaptation
-pass, each with the highest sample since the previous line, then the
-sampled peak, the kernel's high-water mark and the workload's own
-``peak_rss_mb``. A set-up's pretraining lines separate its pretraining
-share from its stream share. ``--seconds 0`` gives the shortest run:
+edited), ``ttaseg.pretrain.pretrain`` and ``ttaseg.adapt.load_stream``,
+while a thread samples ``VmRSS`` from ``/proc/self/status`` every 5 ms. It
+prints the RSS after the imports and at the start and end of every set-up,
+pretraining call, stream load and adaptation pass, each with the highest
+sample since the previous line, then the sampled peak, the kernel's
+high-water mark and the workload's own ``peak_rss_mb``. A set-up's
+pretraining and stream-load lines separate its pretraining share from its
+stream share. ``--seconds 0`` gives the shortest run:
 two set-ups, each followed by a pass of the four strategies (and, for
 ``pretrain-source``, a pretraining call after the first pass).
 """
@@ -112,13 +113,14 @@ def main(argv=None) -> int:
 
     perfbench_run._blas_threads()  # as the benchmark pins them, before numpy loads
     import workloads
-    from ttaseg import pretrain
+    from ttaseg import adapt, pretrain
 
     sampler = Sampler()
     sampler.mark("after imports")
     workloads.set_up = _marked(sampler, workloads.set_up, "set-up")
     workloads.adapt_pass = _marked(sampler, workloads.adapt_pass, "pass")
     pretrain.pretrain = _marked(sampler, pretrain.pretrain, "pretrain")
+    adapt.load_stream = _marked(sampler, adapt.load_stream, "load_stream")
     work_root = ROOT / ".bench_work"
     work_root.mkdir(exist_ok=True)
     run = workloads.Run()

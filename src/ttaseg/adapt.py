@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -292,17 +293,38 @@ def adapt_stream(model: SegModel, samples, config: AdaptConfig, out_dir, dump_sb
     return {"rows": rows, "summary": summary, "record": record, "engine": engine, "out_dir": str(out)}
 
 
-def load_stream(manifest_path):
-    """Samples from a manifest, in manifest order; unreadable files abort
-    with their index."""
+class LoadedStream(Sequence):
+    """A manifest's samples in manifest order, each held as its image's 8-bit
+    payload, its mask and its box. Every read builds a fresh ``StreamSample``
+    whose arrays are bit for bit, and laid out as, ``synthdata.load_sample``'s,
+    so a caller that writes into a sample changes no later read."""
+
+    def __init__(self, items: list):
+        self._items = items
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return LoadedStream(self._items[i])
+        payload, mask, box = self._items[i]
+        return synthdata.StreamSample(netpbm.decode(payload), mask.copy(), box)
+
+
+def load_stream(manifest_path) -> LoadedStream:
+    """Every sample of a manifest, read and checked up front; unreadable
+    files abort with their index."""
     pairs = synthdata.load_manifest(manifest_path)
-    out = []
+    items = []
     for i, (img, mask) in enumerate(pairs):
         try:
-            out.append(synthdata.load_sample(img, mask))
+            sample = synthdata.load_sample(img, mask)
         except (OSError, ValueError) as exc:
             raise RuntimeError(f"stream sample {i} unreadable ({img}): {exc}") from exc
-    return out
+        # the file's own payload: encode inverts read_pnm's decode exactly
+        items.append((netpbm.encode(sample.image), sample.gt_mask, sample.box))
+    return LoadedStream(items)
 
 
 def run_calibration(model: SegModel, samples, seed: int, modes=("off", "sbct-only")) -> dict:

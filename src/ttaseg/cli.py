@@ -83,8 +83,8 @@ def _cmd_gen(args) -> int:
     out = Path(args.out)
 
     def body():
-        samples = synthdata.generate(args.seed, args.n, args.profile)
-        manifest = synthdata.write_dataset(samples, out)
+        # painted one at a time as each is written
+        manifest = synthdata.write_dataset(synthdata.iter_samples(args.seed, args.n, args.profile), out)
         print(f"wrote {args.n} samples to {out} (manifest: {manifest})")
         return {"manifest": str(manifest)}
 

@@ -103,8 +103,10 @@ def soft_dice_logits(logits: Tensor, target: np.ndarray) -> Tensor:
         gq = -g
         gnum = gq / den
         gden = -gq * num / (den * den)
-        # sum(a) is the later use of a, so its gradient lands first
-        ga = gnum * 2.0 * target
+        # sum(a) is the later use of a, so its gradient lands first; it is
+        # C-ordered, as the composed sum's broadcast copy, whatever the
+        # target's layout
+        ga = np.multiply(gnum * 2.0, target, out=np.empty(target.shape))
         ga += gden
         part = ga * a
         part *= np.subtract(1.0, a, out=ga)
@@ -206,8 +208,9 @@ def bce_with_logits(logits: Tensor, gt: np.ndarray) -> Tensor:
 
     def bw(g):
         gsum = g * inv_n
-        # the softplus(x) branch was built last, so it lands first
-        y = gt.astype(np.float64)
+        # the softplus(x) branch was built last, so it lands first; the
+        # composed mean's gradient is C-ordered, so these are too
+        y = gt.astype(np.float64, order="C")
         part = 1.0 - y
         np.multiply(gsum, part, out=part)
         logits._accum_owned(part * _stable_sigmoid(x))

@@ -56,15 +56,24 @@ def read_pnm(path) -> np.ndarray:
         if os.fstat(f.fileno()).st_size - f.tell() < size:
             raise ValueError(f"netpbm: truncated payload in {path}")
         payload = f.read(size)
-    arr = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
-    if channels == 1:
-        return arr.reshape(height, width)
-    return arr.reshape(height, width, 3).transpose(2, 0, 1)
+    shape = (height, width) if channels == 1 else (height, width, 3)
+    return decode(np.frombuffer(payload, dtype=np.uint8).reshape(shape))
 
 
-def _encode(values: np.ndarray) -> np.ndarray:
+def decode(payload: np.ndarray) -> np.ndarray:
+    """8-bit samples in file order, (H, W) or (H, W, 3), as ``read_pnm``
+    returns them: fresh float64 in [0, 1], (H, W) gray or a (3, H, W) view
+    of colour."""
+    arr = payload.astype(np.float64) / 255.0
+    return arr if arr.ndim == 2 else arr.transpose(2, 0, 1)
+
+
+def encode(image: np.ndarray) -> np.ndarray:
+    """The 8-bit samples in file order of an (H, W) or (3, H, W) float
+    image; ``decode`` inverts it on every value ``read_pnm`` returns."""
+    values = image if image.ndim == 2 else image.transpose(1, 2, 0)
     # round half up, e.g. 0.5 -> 128
-    return np.clip(np.floor(values * 255.0 + 0.5), 0, 255).astype(np.uint8)
+    return np.clip(np.floor(values * 255.0 + 0.5), 0, 255).astype(np.uint8, order="C")
 
 
 def write_pgm(path, image: np.ndarray):
@@ -72,7 +81,7 @@ def write_pgm(path, image: np.ndarray):
     image = np.asarray(image)
     if image.ndim != 2:
         raise ValueError(f"write_pgm: expected HxW, got shape {image.shape}")
-    data = (image.astype(np.uint8) * 255) if image.dtype == bool else _encode(image.astype(np.float64))
+    data = (image.astype(np.uint8) * 255) if image.dtype == bool else encode(image.astype(np.float64))
     h, w = image.shape
     Path(path).write_bytes(b"P5\n%d %d\n255\n" % (w, h) + data.tobytes())
 
@@ -82,7 +91,7 @@ def write_ppm(path, image: np.ndarray):
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[0] != 3:
         raise ValueError(f"write_ppm: expected 3xHxW, got shape {image.shape}")
-    data = _encode(image.transpose(1, 2, 0))
+    data = encode(image)
     h, w = image.shape[1:]
     Path(path).write_bytes(b"P6\n%d %d\n255\n" % (w, h) + data.tobytes())
 

@@ -20,10 +20,6 @@ from .tensor import ParamGroup, adam_step
 
 # fixed offset separating the held-out validation stream from training data
 VAL_SEED_OFFSET = 500_009
-# training scenes are drawn once and painted this many at a time, in each
-# epoch's order: at most this many training images are alive, and a run of
-# paints is faster than one paint between two training steps
-PAINT_CHUNK = 32
 
 
 @dataclass
@@ -100,16 +96,13 @@ def pretrain(cfg: PretrainConfig, out_path) -> dict:
     history = []
     for epoch in range(cfg.epochs):
         order = np.random.default_rng([cfg.seed, 37, epoch]).permutation(len(scenes))
-        for start in range(0, len(order), PAINT_CHUNK):
-            chunk = order[start:start + PAINT_CHUNK]
-            painted = [synthdata.paint(scenes[i]) for i in chunk]
-            for idx in chunk:
-                # popped, so the last chunk's samples are gone before the next is painted
-                loss, _ = sample_loss(model, painted.pop(0))
-                if not math.isfinite(float(loss.data)):
-                    raise RuntimeError(f"pretrain: non-finite loss at epoch {epoch}, sample {int(idx)}")
-                loss.backward()
-                adam_step(group, cfg.lr)
+        for idx in order:
+            # painted as it trains, so one training image is alive at a time
+            loss, _ = sample_loss(model, synthdata.paint(scenes[idx]))
+            if not math.isfinite(float(loss.data)):
+                raise RuntimeError(f"pretrain: non-finite loss at epoch {epoch}, sample {int(idx)}")
+            loss.backward()
+            adam_step(group, cfg.lr)
         val_summary = evaluate(model, map(synthdata.paint, val_scenes))
         history.append(val_summary["mean_dice"])
         if best is None or val_summary["mean_dice"] > best["mean_dice"]:

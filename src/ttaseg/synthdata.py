@@ -267,12 +267,18 @@ def degrade(image: np.ndarray, spec: SceneSpec) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def generate(seed: int, n: int, profile: str) -> list:
-    """n StreamSamples drawn from the named profile, pure in (seed, index)."""
+def iter_samples(seed: int, n: int, profile: str):
+    """n StreamSamples drawn from the named profile, pure in (seed, index),
+    each painted only when it is consumed; an unknown profile raises here."""
     if profile not in PROFILES:
         raise ValueError(f"unknown shift profile {profile!r}; known: {sorted(PROFILES)}")
     prof = PROFILES[profile]
-    return [paint(draw_scene(sample_spec(seed, i, prof))) for i in range(n)]
+    return (paint(draw_scene(sample_spec(seed, i, prof))) for i in range(n))
+
+
+def generate(seed: int, n: int, profile: str) -> list:
+    """``iter_samples``' samples, all painted, in a list."""
+    return list(iter_samples(seed, n, profile))
 
 
 def gen_source(seed: int, n: int) -> list:
@@ -302,7 +308,8 @@ def oracle_box(gt_mask: np.ndarray) -> BoxPrompt:
 
 
 def write_dataset(samples, out_dir) -> Path:
-    """Write images/masks plus a manifest.csv with relative paths."""
+    """Write images/masks plus a manifest.csv with relative paths; samples
+    may be any iterable, and each is written before the next is pulled."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -279,9 +279,9 @@ class Tensor:
 
         def bw(g):
             if a.requires_grad:
-                a._accum_owned(g @ np.swapaxes(b.data, -1, -2))
+                a._accum_owned(g @ b.data.swapaxes(-1, -2))
             if b.requires_grad:
-                b._accum_owned(np.swapaxes(a.data, -1, -2) @ g)
+                b._accum_owned(a.data.swapaxes(-1, -2) @ g)
 
         return Tensor._node(a.data @ b.data, (a, b), bw, "matmul")
 
@@ -460,15 +460,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor, lora=None, scale: float = 1.0) -> Te
                 if x.requires_grad:
                     x._accum_owned(glow @ a.data)
                 if a.requires_grad:
-                    a._accum_owned((np.swapaxes(xd, -1, -2) @ glow).transpose())
+                    a._accum_owned((xd.swapaxes(-1, -2) @ glow).transpose())
             if bb.requires_grad:
-                bb._accum_owned((np.swapaxes(low, -1, -2) @ gl).transpose())
+                bb._accum_owned((low.swapaxes(-1, -2) @ gl).transpose())
         if b.requires_grad:
             b._accum(_unbroadcast(g, b.data.shape))
         if x.requires_grad:
             x._accum_owned(g @ w.data)
         if w.requires_grad:
-            w._accum_owned((np.swapaxes(xd, -1, -2) @ g).transpose())
+            w._accum_owned((xd.swapaxes(-1, -2) @ g).transpose())
 
     return Tensor._node(out, parents, bw, "linear")
 
@@ -501,18 +501,18 @@ def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
         # its layout, and with it the order in which the sum below adds
         gsq = gxn * xc
         gsq /= root * root
-        groot = _unbroadcast(gsq, root.shape)
+        groot = gsq.sum(axis=-1, keepdims=True)
         gvar = groot * (0.5 / root) * inv_n
         # the squared deviation feeds xc twice, so it lands twice
-        np.multiply(np.broadcast_to(gvar, xd.shape), xc, out=gsq)
+        np.multiply(gvar, xc, out=gsq)
         gxc += gsq
         gxc += gsq
         # gxn takes -gxc in gxc's layout, before x may adopt gxc
-        gmean = _unbroadcast(np.negative(gxc, out=gxn), root.shape)
+        gmean = np.negative(gxc, out=gxn).sum(axis=-1, keepdims=True)
         gmean *= inv_n
         # the centred path reaches x before the mean path
         x._accum_owned(gxc)
-        x._accum(np.broadcast_to(gmean, xd.shape))
+        x._accum(gmean)
 
     return Tensor._node(out, (x, g, b), bw, "layer_norm")
 
@@ -529,7 +529,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     scale = hd**-0.5
     e = qh @ kt
     e *= scale
-    e -= np.max(e, axis=-1, keepdims=True)
+    e -= e.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     den = e.sum(axis=-1, keepdims=True)
     att = e / den
@@ -538,23 +538,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     def bw(g):
         gav = g.reshape(nq, heads, hd).transpose(1, 0, 2)
         if v.requires_grad:
-            gvh = np.swapaxes(att, -1, -2) @ gav
+            gvh = att.swapaxes(-1, -2) @ gav
             v._accum_owned(gvh.transpose(1, 0, 2).reshape(nk, d))
         if not (q.requires_grad or k.requires_grad):
             return
-        gatt = gav @ np.swapaxes(vh, -1, -2)
+        gatt = gav @ vh.swapaxes(-1, -2)
         gs = gatt / den
         np.negative(gatt, out=gatt)
         gatt *= e
         gatt /= den * den
-        gs += np.broadcast_to(_unbroadcast(gatt, den.shape), e.shape)
+        gs += gatt.sum(axis=-1, keepdims=True)
         gs *= e
         gs *= scale
         if k.requires_grad:
-            gkt = np.swapaxes(qh, -1, -2) @ gs
+            gkt = qh.swapaxes(-1, -2) @ gs
             k._accum_owned(gkt.transpose(0, 2, 1).transpose(1, 0, 2).reshape(nk, d))
         if q.requires_grad:
-            q._accum_owned((gs @ np.swapaxes(kt, -1, -2)).transpose(1, 0, 2).reshape(nq, d))
+            q._accum_owned((gs @ kt.swapaxes(-1, -2)).transpose(1, 0, 2).reshape(nq, d))
 
     return Tensor._node(out, (q, k, v), bw, "attention")
 

@@ -1,5 +1,7 @@
 import math
+import sys
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -539,6 +541,105 @@ def test_missing_sample_file_aborts_with_index(tmp_path):
     (tmp_path / "mask_00002.pgm").unlink()
     with pytest.raises(RuntimeError, match="stream sample 2 unreadable"):
         load_stream(manifest)
+
+
+def _same_layout_and_bytes(got: np.ndarray, want: np.ndarray):
+    assert got.dtype == want.dtype and got.shape == want.shape and got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_reads_as_load_sample(stream, manifest):
+    pairs = synthdata.load_manifest(manifest)
+    assert len(stream) == len(pairs)
+    for got, (img, mask) in zip(stream, pairs):
+        want = synthdata.load_sample(img, mask)
+        _same_layout_and_bytes(got.image, want.image)
+        _same_layout_and_bytes(got.gt_mask, want.gt_mask)
+        assert got.box == want.box
+
+
+@pytest.mark.parametrize("profile", ["mri-like", "source"], ids=["P5", "P6"])
+def test_loaded_stream_reads_as_load_sample(tmp_path, profile):
+    """Each read is load_sample's sample: bytes, dtype, shape and strides of
+    the image (P6's a transposed view) and the mask, and the box; a header
+    with a comment, and an empty mask, read back too."""
+    manifest = synthdata.write_dataset(target_stream(5, profile=profile), tmp_path)
+    ext = "pgm" if profile == "mri-like" else "ppm"
+    blob = (tmp_path / f"img_00002.{ext}").read_bytes()
+    (tmp_path / f"img_00002.{ext}").write_bytes(blob[:3] + b"# a comment\n" + blob[3:])
+    synthdata.netpbm.write_pgm(tmp_path / "mask_00003.pgm", np.zeros((64, 64), dtype=bool))
+    stream = load_stream(manifest)
+    assert stream[3].box is None
+    _assert_reads_as_load_sample(stream, manifest)
+
+
+def test_loaded_stream_reiterates_slices_and_indexes(tmp_path):
+    manifest = synthdata.write_dataset(target_stream(4), tmp_path)
+    stream = load_stream(manifest)
+    assert len(stream) == 4
+    _assert_reads_as_load_sample(stream, manifest)
+    _assert_reads_as_load_sample(stream, manifest)  # a second pass reads the same
+    part = stream[1:3]
+    assert len(part) == 2 and len(list(part)) == 2
+    for got, want in [(part[0], stream[1]), (part[-1], stream[2]), (stream[-1], stream[3])]:
+        _same_layout_and_bytes(got.image, want.image)
+    assert len(stream[::-1]) == 4 and stream[::-1][0].box == stream[3].box
+    with pytest.raises(IndexError):
+        stream[4]
+
+
+def test_writing_into_a_read_sample_changes_no_later_read(tmp_path):
+    manifest = synthdata.write_dataset(target_stream(2) + synthdata.gen_source(3, 1), tmp_path)
+    stream = load_stream(manifest)
+    for sample in stream:
+        sample.image[...] = 0.25
+        sample.gt_mask[...] = ~sample.gt_mask
+    _assert_reads_as_load_sample(stream, manifest)
+
+
+def test_threads_reading_one_loaded_stream_each_read_every_sample(tmp_path):
+    """Six threads, more than the cores, iterate one stream at once with a
+    short switch interval, writing into what they read, as the benchmark's
+    strategies share a set-up's stream: every read is the file's sample."""
+    manifest = synthdata.write_dataset(target_stream(3) + synthdata.gen_source(4, 2), tmp_path)
+    stream = load_stream(manifest)
+    want = [synthdata.load_sample(*pair).image.tobytes() for pair in synthdata.load_manifest(manifest)]
+    mismatches, done = [], []
+
+    def read(k):
+        for _ in range(20):
+            for i, sample in enumerate(stream):
+                if sample.image.tobytes() != want[i]:
+                    mismatches.append((k, i))
+                sample.image[...] = k
+        done.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(done) == list(range(6)) and mismatches == []
+
+
+def test_a_loaded_gray_stream_holds_its_payloads_not_its_images(tmp_path):
+    """200 gray 64x64 images are 6.25 MiB as float64 and 0.78 MiB as bytes;
+    with their masks the stream holds less than 2.5 MiB."""
+    manifest = synthdata.write_dataset(synthdata.iter_samples(9, 200, "mri-like"), tmp_path)
+    tracemalloc.start()
+    try:
+        stream = load_stream(manifest)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(stream) == 200
+    assert held < 2.5 * 2**20
 
 
 # -- streaming and state ------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,21 @@ def test_gen_source_writes_ppm(tmp_path):
     out = tmp_path / "src"
     assert run("gen", "--profile", "source", "--n", "2", "--out", str(out)) == 0
     assert len(list(out.glob("img_*.ppm"))) == 2
+
+
+def test_gen_writes_each_sample_as_it_paints_it(tmp_path):
+    """48 more colour samples (4.5 MiB painted) add less than 1 MiB to the
+    peak: one painted sample is alive at a time."""
+    peaks = []
+    for n in (16, 64):
+        tracemalloc.start()
+        try:
+            assert run("gen", "--profile", "source", "--n", str(n), "--out", str(tmp_path / str(n))) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(list((tmp_path / "64").glob("img_*.ppm"))) == 64
+    assert peaks[1] - peaks[0] < 2**20
 
 
 def test_pretrain_config_file_and_flag_precedence(tmp_path):

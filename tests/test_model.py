@@ -381,18 +381,22 @@ def test_checkpoint_rejects_a_name_that_is_not_utf8_by_path(model16, tmp_path):
     assert str(excinfo.value) == f"checkpoint {path}: the 12-byte name at offset {at} is not UTF-8"
 
 
-def test_checkpoint_byte_overwrites_load_identically_or_fail_naming_the_path(model16, tmp_path):
-    """Each byte of the header and the first tensor record, set to 0x00 and
-    then to 0xff: the file either loads and saves back to the same bytes, or
-    is rejected with a ValueError that names it."""
+def _record_span(model, blob: bytes, name: str) -> range:
+    """The byte offsets of tensor ``name``'s record in a saved checkpoint."""
+    start = blob.index(struct.pack("<I", len(name)) + name.encode())
+    data = model.params[name].data
+    return range(start, start + 4 + len(name) + 4 + 4 * data.ndim + 8 * data.size)
+
+
+def _overwrite_sweep(model, tmp_path, offsets) -> int:
+    """Save ``model``, then set each byte at ``offsets`` to 0x00 and then to
+    0xff: the file must either load and save back to the same bytes, or be
+    rejected with a ValueError that names it. Returns how many loaded."""
     path, resaved = tmp_path / "m.ckpt", tmp_path / "resaved.ckpt"
-    save_checkpoint(model16, path)
+    save_checkpoint(model, path)
     blob = path.read_bytes()
-    first = sorted(model16.params)[0]
-    record = blob.index(first.encode()) - 4
-    end = record + 4 + len(first) + 4 + 4 * model16.params[first].data.ndim + 8 * model16.params[first].data.size
     loaded_count = 0
-    for at in range(end):
+    for at in offsets(blob):
         for byte in (0x00, 0xFF):
             changed = blob[:at] + bytes([byte]) + blob[at + 1:]
             path.write_bytes(changed)
@@ -404,8 +408,32 @@ def test_checkpoint_byte_overwrites_load_identically_or_fail_naming_the_path(mod
             save_checkpoint(loaded, resaved)
             assert resaved.read_bytes() == changed, (at, byte)
             loaded_count += 1
+    return loaded_count
+
+
+def test_checkpoint_byte_overwrites_load_identically_or_fail_naming_the_path(model16, tmp_path):
+    """Each byte of the header and the first tensor record, set to 0x00 and
+    then to 0xff: the file either loads and saves back to the same bytes, or
+    is rejected with a ValueError that names it."""
+    first = sorted(model16.params)[0]
+    loaded_count = _overwrite_sweep(model16, tmp_path, lambda blob: range(_record_span(model16, blob, first).stop))
     # every payload overwrite loads; some header byte overwrites are no change
     assert loaded_count >= 2 * 8 * model16.params[first].data.size
+
+
+def test_lora_checkpoint_byte_overwrites_load_identically_or_fail_naming_the_path(model16, tmp_path):
+    """The sweep above on an adapted checkpoint, whose header stores
+    has_lora = 1 and whose LoRA tensors only that header admits: each byte
+    of the header and of the first LoRA tensor record."""
+    model16.attach_lora(seed=5)
+    names = sorted(model16.params)
+    lora = next(name for name in names if ".lora_" in name)
+
+    def offsets(blob):
+        return [*range(_record_span(model16, blob, names[0]).start), *_record_span(model16, blob, lora)]
+
+    loaded_count = _overwrite_sweep(model16, tmp_path, offsets)
+    assert loaded_count >= 2 * 8 * model16.params[lora].data.size
 
 
 def test_checkpoint_loads_without_drawing_random_numbers(model16, tmp_path, monkeypatch):

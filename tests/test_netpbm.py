@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ttaseg.netpbm import read_pnm, write_pgm, write_ppm
+from ttaseg.netpbm import decode, encode, read_pnm, write_pgm, write_ppm
 
 
 def test_pgm_roundtrip_byte_identity(tmp_path):
@@ -22,6 +22,16 @@ def test_ppm_roundtrip_byte_identity(tmp_path):
     write_ppm(first, rng.uniform(0, 1, (3, 5, 7)))
     write_ppm(second, read_pnm(first))
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (16, 16, 3)], ids=["gray", "colour"])
+def test_encode_inverts_decode_on_every_byte(shape):
+    """Every byte value, decoded as read_pnm decodes it and encoded again,
+    comes back, C-ordered in file order: (H, W) or (H, W, 3)."""
+    payload = np.resize(np.arange(256, dtype=np.uint8), shape)
+    again = encode(decode(payload))
+    assert again.dtype == np.uint8 and again.flags.c_contiguous
+    assert np.array_equal(again, payload)
 
 
 def test_all_zero_image_payload(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from conftest import PINNED, assert_same_loss_and_grads, bce_composed, loss_and_grads
 from ttaseg import losses, synthdata
 from ttaseg.model import load_checkpoint
-from ttaseg.pretrain import (PAINT_CHUNK, VAL_SEED_OFFSET, PretrainConfig, downsample_mask, evaluate, pretrain,
+from ttaseg.pretrain import (VAL_SEED_OFFSET, PretrainConfig, downsample_mask, evaluate, pretrain,
                              sample_loss)
 from ttaseg.tensor import Tensor
 
@@ -43,11 +43,11 @@ def test_same_seed_gives_identical_checkpoint_bytes(tmp_path):
 
 
 def test_training_images_held_do_not_grow_with_n_train(tmp_path):
-    """Training scenes are drawn once and painted PAINT_CHUNK at a time: 128
+    """Training scenes are drawn once and each is painted as it trains: 128
     more training samples (12 MiB of colour images) add only their drawn
     scenes, about 4.5 KiB each, to the peak."""
     peaks = []
-    for n_train in (PAINT_CHUNK, 5 * PAINT_CHUNK):
+    for n_train in (32, 160):
         tracemalloc.start()
         try:
             pretrain(PretrainConfig(epochs=1, n_train=n_train, n_val=2), tmp_path / "m.ckpt")

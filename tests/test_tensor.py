@@ -584,16 +584,17 @@ _LOSS_PAIRS = {
 }
 
 
-@pytest.mark.parametrize("name, transposed", [(name, which) for name in _LOSS_PAIRS for which in ("logits", "target")
-                                              if (name, which) != ("entropy", "target")])
+@pytest.mark.parametrize("name, transposed", [(name, which) for name in _LOSS_PAIRS
+                                              for which in ("logits", "target", "both")
+                                              if name != "entropy" or which == "logits"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_fused_loss_is_bitwise_the_composed_graph_when_one_operand_is_transposed(name, transposed, seed):
-    """The logits or the target stored transposed, with the loss the logits'
-    only use, so the node's gradient becomes the leaf's. Where a product
-    mixes the two layouts, numpy picks the result's, and with it the order in
-    which the loss's sum, or a later sum of the gradient, adds."""
+    """The logits, the target or both stored transposed, with the loss the
+    logits' only use, so the node's gradient becomes the leaf's. Where a
+    product mixes the two layouts, numpy picks the result's, and with it the
+    order in which the loss's sum, or a later sum of the gradient, adds."""
     def stored(a, which):
-        return np.ascontiguousarray(a.T).T if which == transposed else a
+        return np.ascontiguousarray(a.T).T if transposed in (which, "both") else a
 
     def loss_and_grad(fn):
         rng = np.random.default_rng(seed)
