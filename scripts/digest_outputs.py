@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Print sha256 digests of a small seeded pipeline, for byte-identity checks.
 
-Pretrains a small checkpoint (2 epochs x 60 samples, seed 0), then adapts an
-mri-like target stream and a colour source stream with every strategy at
-K = 1 and at K = 2 with the optimizer reset per image, and runs the
-calibration experiment on a ct-like stream. Each line is ``<key> <value>``:
-the checkpoint digest, one ``metrics.csv`` + ``adapted.ckpt`` digest per
-run, the calibration delta, and the ``--dump-sbct`` output (every curve CSV,
+Writes a small dataset of every shift profile with ``ttaseg gen``, then
+pretrains a small checkpoint (2 epochs x 60 samples, seed 0), then adapts an
+mri-like target stream and a colour source stream with every strategy at K = 1
+and at K = 2 with the optimizer reset per image, and runs the calibration
+experiment on a ct-like stream. Each line is ``<key> <value>``: one digest
+per profile of the files ``gen`` writes (the manifest, then every image and
+mask in manifest order; not its run.json, which holds the wall clock), the
+checkpoint digest, one ``metrics.csv`` + ``adapted.ckpt`` digest per run,
+the calibration delta, and the ``--dump-sbct`` output (every curve CSV,
 every composite) of a sam-tta K = 1 run on each stream written to files and
 read back, as the CLI reads it. Two ``reload`` lines close the list: the
 digest of the pretrained checkpoint and of a LoRA ``adapted.ckpt`` after
@@ -20,14 +23,16 @@ It imports ``ttaseg`` from the ``src/`` next to this script and takes about
 10 s on a 2-core x86 VM.
 """
 
+import contextlib
 import hashlib
+import io
 import sys
 import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from ttaseg import pretrain, synthdata  # noqa: E402
+from ttaseg import cli, pretrain, synthdata  # noqa: E402
 from ttaseg.adapt import AdaptConfig, adapt_stream, load_stream, run_calibration  # noqa: E402
 from ttaseg.model import load_checkpoint, save_checkpoint  # noqa: E402
 
@@ -50,6 +55,14 @@ def main():
     }
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
+        for profile in sorted(synthdata.PROFILES):
+            out = work / f"gen-{profile}"
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["gen", "--profile", profile, "--n", "3", "--seed", "11", "--out", str(out)])
+            if code != 0:
+                sys.exit(f"ttaseg gen --profile {profile} exited {code}")
+            files = [path for pair in synthdata.load_manifest(out / "manifest.csv") for path in pair]
+            print(f"gen/{profile} {_sha(out / 'manifest.csv', *files)}")
         ckpt = work / "pretrained.ckpt"
         pretrain.pretrain(pretrain.PretrainConfig(epochs=2, n_train=60, n_val=20, seed=0), ckpt)
         print(f"pretrained.ckpt {_sha(ckpt)}")

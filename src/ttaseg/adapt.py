@@ -37,7 +37,7 @@ import numpy as np
 
 from . import losses, metrics, netpbm, sbct, synthdata
 from .model import SegModel, save_checkpoint
-from .tensor import ParamGroup, Tensor, _stable_sigmoid, adam_step, no_grad
+from .tensor import ParamGroup, Tensor, adam_step, no_grad
 
 log = logging.getLogger("ttaseg.adapt")
 
@@ -107,11 +107,6 @@ def _layout_difference(teacher: ParamGroup, student: ParamGroup) -> str:
     if list(t) != list(s):
         return f"the same names in another order: teacher {list(t)}, student {list(s)}"
     return next(f"{n!r} has shape {t[n]} in the teacher, {s[n]} in the student" for n in t if t[n] != s[n])
-
-
-def _bad_pixels(image: np.ndarray) -> bool:
-    """A pixel is not finite or lies outside [0, 1]."""
-    return not (np.isfinite(image).all() and image.min() >= 0.0 and image.max() <= 1.0)
 
 
 class AdaptEngine:
@@ -237,7 +232,7 @@ class AdaptEngine:
         h, w = sample.image.shape[-2:]
         if (h, w) != (size, size):
             return f"image is {h}x{w}, the model takes {size}x{size}"
-        if _bad_pixels(sample.image):
+        if not sbct.in_unit_range(sample.image):
             return "pixel outside [0, 1] or not finite"
         return None
 
@@ -257,7 +252,7 @@ class AdaptEngine:
         lines = ["t,c1,c2,c3"]
         lines += [",".join(repr(v) for v in row) for row in samples]
         (out / f"sbct_{index:05d}.csv").write_text("\n".join(lines) + "\n")
-        if not _bad_pixels(image):
+        if sbct.in_unit_range(image):
             with no_grad():
                 composite = sbct.transform(image, self.sbct_u).data
             netpbm.write_ppm(out / f"composite_{index:05d}.ppm", composite)
@@ -288,9 +283,8 @@ def adapt_stream(model: SegModel, samples, config: AdaptConfig, out_dir, dump_sb
     record = {"n_images": len(rows), "skipped": engine.skipped, "summary": summary}
     if engine.sbct_u is not None:
         record["sbct_u"] = engine.sbct_u.data.tolist()
-        # sbct.heights' values, formed off the tape
-        record["sbct_heights"] = _stable_sigmoid(engine.sbct_u.data).tolist()
-    return {"rows": rows, "summary": summary, "record": record, "engine": engine, "out_dir": str(out)}
+        record["sbct_heights"] = sbct.heights(engine.sbct_u.detach()).data.tolist()
+    return {"rows": rows, "summary": summary, "record": record, "engine": engine}
 
 
 class LoadedStream(Sequence):
@@ -305,9 +299,7 @@ class LoadedStream(Sequence):
     def __len__(self) -> int:
         return len(self._items)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return LoadedStream(self._items[i])
+    def __getitem__(self, i: int) -> synthdata.StreamSample:
         payload, mask, box = self._items[i]
         return synthdata.StreamSample(netpbm.decode(payload), mask.copy(), box)
 

@@ -84,7 +84,7 @@ def _cmd_gen(args) -> int:
 
     def body():
         # painted one at a time as each is written
-        manifest = synthdata.write_dataset(synthdata.iter_samples(args.seed, args.n, args.profile), out)
+        manifest = synthdata.write_dataset(map(synthdata.paint, synthdata.scenes(args.seed, args.n, args.profile)), out)
         print(f"wrote {args.n} samples to {out} (manifest: {manifest})")
         return {"manifest": str(manifest)}
 
@@ -217,17 +217,13 @@ def _cmd_calibrate(args) -> int:
         samples = adapt.load_stream(args.manifest)
         report = adapt.run_calibration(model, samples, args.seed, modes=modes)
         out.mkdir(parents=True, exist_ok=True)
-        payload = {"seed": args.seed, "n": report["n"], "modes": {}}
         for mode, entry in report["modes"].items():
-            tag = mode.replace("-", "_")
-            metrics.write_metrics_csv(entry["rows"], out / f"metrics_{tag}.csv")
-            payload["modes"][mode] = {"pearson_r": entry["pearson_r"]}
+            metrics.write_metrics_csv(entry.pop("rows"), out / f"metrics_{mode.replace('-', '_')}.csv")
             print(f"mode={mode}: pearson_r={metrics.format_value(entry['pearson_r'])}")
         if "delta" in report:
-            payload["delta"] = report["delta"]
             print(f"delta={metrics.format_value(report['delta'])}")
-        (out / "calibration.json").write_text(json.dumps(payload, indent=2) + "\n")
-        return payload
+        (out / "calibration.json").write_text(json.dumps(report, indent=2) + "\n")
+        return report
 
     return _execute("calibrate", out / "run.json",
                     {"mode": args.mode, "seed": args.seed},

@@ -12,11 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
+FIELD_DIGITS = 18  # a header field's most digits, more than any size needs; a longer token is cut, not read whole
+
 
 def _read_token(stream: io.BufferedReader, path) -> bytes:
-    """Next whitespace-delimited header token, skipping '#' comments."""
+    """Next whitespace-delimited header token, skipping '#' comments; at most FIELD_DIGITS + 1 bytes."""
     tok = b""
-    while True:
+    while len(tok) <= FIELD_DIGITS:
         ch = stream.read(1)
         if not ch:
             raise ValueError(f"netpbm: truncated header in {path}")
@@ -29,14 +31,15 @@ def _read_token(stream: io.BufferedReader, path) -> bytes:
                 return tok
             continue
         tok += ch
+    return tok
 
 
 def _header_field(stream: io.BufferedReader, name: str, path) -> int:
-    """The next header token as a positive decimal integer."""
+    """The next header token as a positive decimal integer of at most FIELD_DIGITS digits."""
     token = _read_token(stream, path)
-    if not token.isdigit() or int(token) <= 0:
-        raise ValueError(f"netpbm: {name} must be a positive integer, got {token.decode(errors='replace')!r} "
-                         f"in {path}")
+    if not (token.isdigit() and len(token) <= FIELD_DIGITS) or int(token) <= 0:
+        raise ValueError(f"netpbm: {name} must be a positive integer of at most {FIELD_DIGITS} digits, "
+                         f"got {token.decode(errors='replace')!r} in {path}")
     return int(token)
 
 

@@ -80,12 +80,10 @@ def pretrain(cfg: PretrainConfig, out_path) -> dict:
     Aborts with RuntimeError if the loss goes non-finite.
     """
     model = SegModel.build(ModelConfig(), cfg.seed)
-    source = synthdata.PROFILES["source"]
-    scenes = [synthdata.draw_scene(synthdata.sample_spec(cfg.seed, i, source)) for i in range(cfg.n_train)]
+    scenes = list(synthdata.scenes(cfg.seed, cfg.n_train, "source"))
     # the scenes of gen_source(cfg.seed + VAL_SEED_OFFSET, cfg.n_val), each
     # painted only while it is scored
-    val_scenes = [synthdata.draw_scene(synthdata.sample_spec(cfg.seed + VAL_SEED_OFFSET, i, source))
-                  for i in range(cfg.n_val)]
+    val_scenes = list(synthdata.scenes(cfg.seed + VAL_SEED_OFFSET, cfg.n_val, "source"))
 
     for p in model.params.values():
         p.requires_grad = True

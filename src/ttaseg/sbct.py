@@ -49,9 +49,13 @@ def _bernstein_rows(t: np.ndarray) -> np.ndarray:
     return np.stack([omt**3, 3.0 * t * omt**2, 3.0 * t**2 * omt, t**3])
 
 
+def in_unit_range(x: np.ndarray) -> bool:
+    """Every value lies in [0, 1]; NaN, for which every comparison is false, fails, as +-inf do."""
+    return not x.size or bool(x.min() >= 0.0 and x.max() <= 1.0)
+
+
 def _check_unit_range(x: np.ndarray, what: str):
-    # written so that NaN, for which every comparison is false, fails it
-    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
+    if not in_unit_range(x):
         raise ValueError(f"{what}: values must lie in [0, 1], got range [{x.min():.6g}, {x.max():.6g}]")
 
 

@@ -267,26 +267,22 @@ def degrade(image: np.ndarray, spec: SceneSpec) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def iter_samples(seed: int, n: int, profile: str):
-    """n StreamSamples drawn from the named profile, pure in (seed, index),
-    each painted only when it is consumed; an unknown profile raises here."""
+def scenes(seed: int, n: int, profile: str):
+    """The n scenes of the named profile, pure in (seed, index), each drawn
+    only when it is consumed; an unknown profile raises here, at the call."""
     if profile not in PROFILES:
         raise ValueError(f"unknown shift profile {profile!r}; known: {sorted(PROFILES)}")
     prof = PROFILES[profile]
-    return (paint(draw_scene(sample_spec(seed, i, prof))) for i in range(n))
-
-
-def generate(seed: int, n: int, profile: str) -> list:
-    """``iter_samples``' samples, all painted, in a list."""
-    return list(iter_samples(seed, n, profile))
-
-
-def gen_source(seed: int, n: int) -> list:
-    return generate(seed, n, "source")
+    return (draw_scene(sample_spec(seed, i, prof)) for i in range(n))
 
 
 def gen_target(seed: int, n: int, profile: str) -> list:
-    return generate(seed, n, profile)
+    """``scenes``' samples, all painted, in a list."""
+    return list(map(paint, scenes(seed, n, profile)))
+
+
+def gen_source(seed: int, n: int) -> list:
+    return gen_target(seed, n, "source")
 
 
 def oracle_box(gt_mask: np.ndarray) -> BoxPrompt:

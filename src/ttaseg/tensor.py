@@ -18,20 +18,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "DomainError",
-    "as_tensor",
-    "concat",
-    "linear",
-    "layer_norm",
-    "attention",
-    "log_softmax",
-    "no_grad",
-    "ParamGroup",
-    "adam_step",
-]
-
 _seq = itertools.count()
 
 

@@ -447,7 +447,7 @@ def _assert_same_state(a: dict, b: dict):
         assert np.array_equal(a[key], b[key]), key
 
 
-@pytest.mark.parametrize("value", [1.0000001, np.nan], ids=["above-one", "nan"])
+@pytest.mark.parametrize("value", [1.0000001, np.nan, np.inf, -np.inf], ids=["above-one", "nan", "inf", "-inf"])
 @pytest.mark.parametrize("strategy", ["none", "tent", "mean-teacher", "sam-tta", "sbct-only"])
 def test_bad_pixel_is_a_logged_skip_for_every_strategy(base_model, strategy, value, caplog):
     samples = target_stream(3)
@@ -573,17 +573,13 @@ def test_loaded_stream_reads_as_load_sample(tmp_path, profile):
     _assert_reads_as_load_sample(stream, manifest)
 
 
-def test_loaded_stream_reiterates_slices_and_indexes(tmp_path):
+def test_loaded_stream_reiterates_and_indexes(tmp_path):
     manifest = synthdata.write_dataset(target_stream(4), tmp_path)
     stream = load_stream(manifest)
     assert len(stream) == 4
     _assert_reads_as_load_sample(stream, manifest)
     _assert_reads_as_load_sample(stream, manifest)  # a second pass reads the same
-    part = stream[1:3]
-    assert len(part) == 2 and len(list(part)) == 2
-    for got, want in [(part[0], stream[1]), (part[-1], stream[2]), (stream[-1], stream[3])]:
-        _same_layout_and_bytes(got.image, want.image)
-    assert len(stream[::-1]) == 4 and stream[::-1][0].box == stream[3].box
+    _same_layout_and_bytes(stream[-1].image, stream[3].image)
     with pytest.raises(IndexError):
         stream[4]
 
@@ -631,7 +627,7 @@ def test_threads_reading_one_loaded_stream_each_read_every_sample(tmp_path):
 def test_a_loaded_gray_stream_holds_its_payloads_not_its_images(tmp_path):
     """200 gray 64x64 images are 6.25 MiB as float64 and 0.78 MiB as bytes;
     with their masks the stream holds less than 2.5 MiB."""
-    manifest = synthdata.write_dataset(synthdata.iter_samples(9, 200, "mri-like"), tmp_path)
+    manifest = synthdata.write_dataset(map(synthdata.paint, synthdata.scenes(9, 200, "mri-like")), tmp_path)
     tracemalloc.start()
     try:
         stream = load_stream(manifest)
@@ -661,7 +657,7 @@ def test_adapt_stream_writes_all_outputs(base_model, tmp_path):
     assert len(result["rows"]) == 4
 
 
-@pytest.mark.parametrize("value", [1.0000001, np.nan], ids=["above-one", "nan"])
+@pytest.mark.parametrize("value", [1.0000001, np.nan, np.inf, -np.inf], ids=["above-one", "nan", "inf", "-inf"])
 def test_dump_sbct_writes_no_composite_of_a_bad_image(base_model, tmp_path, value):
     samples = target_stream(3)
     samples[1].image[0, 0] = value

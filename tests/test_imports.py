@@ -37,7 +37,6 @@ def test_package_imports_only_numpy_and_the_standard_library():
 UNREFERENCED = {
     "cli._Parser.error": "argparse calls it",
     "synthdata.gen_source": "perfbench's tracer wraps it by name, and scripts call it",
-    "synthdata.gen_target": "perfbench and scripts call it",
     "losses.soft_dice": "criterion c02 checks it",
     "tensor.Tensor.item": "the tests' scalar accessor",
 }

@@ -1,9 +1,14 @@
+import tempfile
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ttaseg.netpbm import decode, encode, read_pnm, write_pgm, write_ppm
+from ttaseg.netpbm import FIELD_DIGITS, decode, encode, read_pnm, write_pgm, write_ppm
 
 
 def test_pgm_roundtrip_byte_identity(tmp_path):
@@ -68,7 +73,8 @@ def test_rejects_wrong_maxval(tmp_path):
 
 
 @pytest.mark.parametrize("field", ["width", "height", "maxval"])
-@pytest.mark.parametrize("bad", ["ab", "0", "-2"], ids=["non-numeric", "zero", "negative"])
+@pytest.mark.parametrize("bad", ["ab", "0", "-2", "1" * (FIELD_DIGITS + 1), "9" * 5000],
+                         ids=["non-numeric", "zero", "negative", "one-digit-too-many", "5000-digits"])
 def test_rejects_bad_header_field_by_name(tmp_path, field, bad):
     header = {"width": "2", "height": "1", "maxval": "255"}
     header[field] = bad
@@ -98,6 +104,18 @@ def test_a_size_the_file_cannot_hold_is_rejected_before_reading(tmp_path):
         tracemalloc.stop()
     assert str(excinfo.value) == f"netpbm: truncated payload in {path}"
     assert peak < 2**20
+
+
+def test_a_header_without_whitespace_is_not_read_whole(tmp_path):
+    """A token is cut one byte past FIELD_DIGITS: 1 MiB of zero bytes after
+    the magic fails at once, naming the file, not after a byte-by-byte read
+    of the whole run."""
+    path = tmp_path / "zeros.pgm"
+    path.write_bytes(b"P5\n" + bytes(2**20))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="width must be a positive integer.*zeros\\.pgm"):
+        read_pnm(path)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_header_comments_are_skipped(tmp_path):
@@ -141,3 +159,44 @@ def test_every_truncation_loads_or_fails_naming_the_file(tmp_path, write, image)
         assert str(path) in str(excinfo.value), end
     path.write_bytes(blob)
     assert np.array_equal(read_pnm(path), read_pnm(whole))
+
+
+# what a header field may be replaced by: zero, a sign, non-digits, a size no
+# file holds, maxvals other than 255, and more digits than int() parses
+_FIELD_TOKENS = [b"0", b"-1", b"x", b"1a", b"+2", str(2**40).encode(), b"1", b"254", b"256", b"65535",
+                 b"9" * 5000]
+_SMALL_FILES = {  # magic, width, height, maxval, payload
+    "P5": [b"P5", b"3", b"2", b"255", bytes(range(0, 60, 10))],
+    "P6": [b"P6", b"2", b"2", b"255", bytes(range(0, 240, 20))],
+}
+
+
+@given(kind=st.sampled_from(sorted(_SMALL_FILES)),
+       fields=st.dictionaries(st.integers(1, 3), st.sampled_from(_FIELD_TOKENS), max_size=3),
+       overwrites=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_a_mangled_file_loads_or_fails_naming_the_file(kind, fields, overwrites):
+    """Header fields (width, height, maxval) replaced and bytes overwritten
+    anywhere: the reader returns an image in [0, 1] or raises a ValueError
+    that names the file, and never holds much more than the file's size."""
+    parts = list(_SMALL_FILES[kind])
+    for field, token in fields.items():
+        parts[field] = token
+    blob = bytearray(b"%s\n%s %s\n%s\n%s" % tuple(parts))
+    for position, value in overwrites:
+        blob[position % len(blob)] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"mangled.{kind}"
+        path.write_bytes(blob)
+        tracemalloc.start()
+        try:
+            try:
+                image = read_pnm(path)
+            except ValueError as exc:
+                assert str(path) in str(exc)
+            else:
+                assert image.dtype == np.float64 and 0.0 <= image.min() and image.max() <= 1.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 16 * len(blob) + 2**16

@@ -108,7 +108,7 @@ def test_iou_target_is_detached_from_mask_heads(model16):
     mask heads; its only path is through the IoU estimate itself."""
     from ttaseg import losses
 
-    sample = synthdata.generate(3, 1, "source")[0]
+    sample = synthdata.gen_source(3, 1)[0]
     small = np.random.default_rng(0).uniform(0, 1, (3, 16, 16))
     box = synthdata.BoxPrompt(2.0, 2.0, 14.0, 14.0)
     for p in model16.params.values():

@@ -207,6 +207,25 @@ def test_transform_color_rejects_non_finite_input(bad):
         transform_color(x, init_identity())
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1.0000001, -1e-300, -0.0, 0.0, 5e-324, 1.0],
+                         ids=["inf", "-inf", "nan", "above-one", "below-zero", "minus-zero", "zero", "subnormal",
+                              "one"])
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2, 2)], ids=["gray", "colour"])
+def test_in_unit_range_is_the_finiteness_and_unit_range_rule(value, shape):
+    """in_unit_range is false exactly where a finiteness pass or the [0, 1]
+    comparison fails, and transform raises exactly where it is false."""
+    x = np.full(shape, 0.5)
+    x.flat[-1] = value
+    ok = bool(np.isfinite(x).all() and x.min() >= 0.0 and x.max() <= 1.0)
+    assert sbct.in_unit_range(x) is ok
+    if ok:
+        assert transform(x, init_identity()).shape == (3, *shape[-2:])
+    else:
+        with pytest.raises(ValueError, match="\\[0, 1\\]"):
+            transform(x, init_identity())
+    assert sbct.in_unit_range(np.zeros((0, 3)))
+
+
 def test_transform_dispatch():
     u = init_identity()
     assert transform(np.zeros((4, 4)), u).shape == (3, 4, 4)

@@ -10,8 +10,8 @@ from scipy.ndimage import binary_dilation, gaussian_filter, sobel
 from ttaseg import synthdata
 from ttaseg.netpbm import write_image, write_pgm
 from ttaseg.synthdata import (BOX_PAD, PROFILES, BoxPrompt, ShiftProfile, degrade, draw_scene,
-                              gen_source, gen_target, generate, load_manifest, load_sample,
-                              oracle_box, paint, sample_spec, write_dataset)
+                              gen_source, gen_target, load_manifest, load_sample, oracle_box, paint,
+                              sample_spec, scenes, write_dataset)
 
 
 def boundary_gradient_stat(image: np.ndarray, mask: np.ndarray, band: int = 1) -> float:
@@ -94,9 +94,9 @@ def test_blur_monotonically_reduces_boundary_gradient():
 
 @pytest.mark.parametrize("profile", sorted(PROFILES))
 def test_a_painted_scene_is_its_generated_sample(profile):
-    """paint(draw_scene(spec)) of one index is generate's sample at that
+    """paint(draw_scene(spec)) of one index is gen_target's sample at that
     index, whichever scenes were drawn and painted before it."""
-    samples = generate(4, 6, profile)
+    samples = gen_target(4, 6, profile)
     for i in (5, 2, 0, 4, 1, 3, 2):
         sample = paint(draw_scene(sample_spec(4, i, PROFILES[profile])))
         assert np.array_equal(sample.image, samples[i].image)
@@ -114,8 +114,17 @@ def test_a_drawn_scene_is_small_and_read_only():
 
 
 def test_unknown_profile_rejected():
+    """At the call, before any scene is asked for."""
     with pytest.raises(ValueError, match="unknown shift profile"):
-        generate(0, 1, "xray-like")
+        scenes(0, 1, "xray-like")
+
+
+def test_scenes_are_drawn_as_they_are_consumed():
+    """A billion scenes are asked for and only the first is drawn."""
+    first = next(iter(scenes(0, 10**9, "mri-like")))
+    want = draw_scene(sample_spec(0, 0, PROFILES["mri-like"]))
+    assert first.spec == want.spec and first.shade == want.shade and first.box == want.box
+    assert np.array_equal(first.cells, want.cells) and np.array_equal(first.mask, want.mask)
 
 
 def test_oracle_box_single_pixel_exclusive_convention():
