@@ -11,7 +11,8 @@ mask in manifest order; not its run.json, which holds the wall clock), the
 checkpoint digest, one ``metrics.csv`` + ``adapted.ckpt`` digest per run,
 the calibration delta, and the ``--dump-sbct`` output (every curve CSV,
 every composite) of a sam-tta K = 1 run on each stream written to files and
-read back, as the CLI reads it. Two ``reload`` lines close the list: the
+read back, as the CLI reads it, and the CSV ``ttaseg eval`` writes over the
+mri run's predictions. Two ``reload`` lines close the list: the
 digest of the pretrained checkpoint and of a LoRA ``adapted.ckpt`` after
 ``load_checkpoint`` and ``save_checkpoint``; the script fails if either
 differs from its original's. Run it in two checkouts and diff the outputs to
@@ -84,6 +85,14 @@ def main():
             for kind, pattern in (("csv", "sbct_*.csv"), ("composite", "composite_*.ppm")):
                 files = sorted((out / "sbct").glob(pattern))
                 print(f"{stream_name}/sam-tta/K1/dump-sbct.{kind} {_sha(*files)}")
+        # eval rescores the mri run's predictions and carries its logged columns over
+        scored = work / "mri-eval.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["eval", "--pred", str(work / "mri-dump"),
+                             "--manifest", str(work / "mri-files" / "manifest.csv"), "--out", str(scored)])
+        if code != 0:
+            sys.exit(f"ttaseg eval exited {code}")
+        print(f"mri/sam-tta/K1/eval {_sha(scored)}")
         lora_ckpt = work / "mri-sam-tta-K1" / "adapted.ckpt"
         for key, original in (("pretrained.ckpt", ckpt), ("mri/sam-tta/K1/adapted.ckpt", lora_ckpt)):
             copy = work / "reloaded.ckpt"

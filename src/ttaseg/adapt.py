@@ -189,39 +189,35 @@ class AdaptEngine:
         return s_out, breakdown, None
 
     def process(self, sample: synthdata.StreamSample):
-        """Adapt on one sample and return (prediction mask, metrics row)."""
+        """Adapt on one sample and return (prediction mask, metrics row). The
+        input check and the steps settle one outcome: a skip reason with the
+        last forward made, if any, or the post-update forward and the loss terms."""
         i = self.index
         self.index += 1
         if self.cfg.reset_optimizer:
             self.curves.reset_moments()
             self.adapters.reset_moments()
 
+        out = breakdown = None
         reason = self._input_fault(sample)
+        for _ in range(self.cfg.steps_per_image if reason is None and self.spec.objective else 0):
+            out, breakdown, reason = self._train_step(sample)
+            if reason is not None:
+                break
+        if reason is None:
+            with no_grad():
+                out = self.student.forward(self._student_input(sample.image), sample.box)
+
+        pred = np.zeros(sample.gt_mask.shape, dtype=bool) if out is None else out.m_high.data > 0.0
+        s_val = math.nan if out is None else float(out.s_iou.data)
         if reason is not None:
             self._record_skip(i, reason)
-            pred = np.zeros(sample.gt_mask.shape, dtype=bool)
-            return pred, metrics.score_row(i, pred, sample.gt_mask)
-
-        breakdown = None
-        for _ in range(self.cfg.steps_per_image if self.spec.objective else 0):
-            s_out, breakdown, reason = self._train_step(sample)
-            if reason is not None:
-                self._record_skip(i, reason)
-                pred = s_out.m_high.data > 0.0
-                s_val = float(s_out.s_iou.data)
-                return pred, metrics.score_row(i, pred, sample.gt_mask,
-                                               s_val if math.isfinite(s_val) else float("nan"))
-
-        with no_grad():
-            x = self._student_input(sample.image)
-            out = self.student.forward(x, sample.box)
-        pred = out.m_high.data > 0.0
-        s_final = float(out.s_iou.data)
-        if breakdown is None:  # frozen inference logs its own confidence term
-            return pred, metrics.score_row(i, pred, sample.gt_mask, s_final, 1.0 - s_final,
-                                           0.0, 0.0, 0.0)
-        return pred, metrics.score_row(i, pred, sample.gt_mask, s_final, breakdown.l_icm,
-                                       breakdown.l_dpc, breakdown.l_ifc, breakdown.lambda_dpc)
+            logged = (s_val,)
+        elif breakdown is None:  # frozen inference logs its own confidence term
+            logged = (s_val, 1.0 - s_val, 0.0, 0.0, 0.0)
+        else:
+            logged = (s_val, breakdown.l_icm, breakdown.l_dpc, breakdown.l_ifc, breakdown.lambda_dpc)
+        return pred, metrics.score_row(i, pred, sample.gt_mask, *logged)
 
     def _input_fault(self, sample: synthdata.StreamSample) -> str | None:
         """Why the sample cannot go through the model at all, if it cannot;

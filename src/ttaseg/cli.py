@@ -2,7 +2,8 @@
 
 Once a run starts, every subcommand writes a replayable run manifest
 (resolved config, seed, versions, paths, wall clock) before exiting, on
-success and on runtime failure; ``_execute`` is its only writer. A usage
+success, on runtime failure and on interruption (status ``interrupted``,
+the interrupt raised on); ``_execute`` is its only writer. A usage
 error (an unknown flag or config key, a value out of range, or a bad
 config file) exits 1 before a run starts and writes no manifest. Config
 precedence for pretrain is defaults < config file < CLI flags. Exit codes:
@@ -65,6 +66,9 @@ def _execute(subcommand: str, run_path: Path, config: dict, inputs: dict, output
         manifest["error"] = f"{type(exc).__name__}: {exc}"
         print(f"ttaseg {subcommand}: error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        manifest["status"] = "interrupted"
+        raise
     finally:
         manifest["wall_clock_sec"] = time.time() - t0
         # a fresh file: nothing of an earlier run in the same place survives

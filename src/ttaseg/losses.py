@@ -30,7 +30,6 @@ class LossBreakdown:
     l_ifc: float
     lambda_dpc: float
     total: float
-    s_iou: float
 
 
 def confidence_stat(s_iou: float) -> float:
@@ -75,15 +74,6 @@ def l_icm(s_iou: Tensor) -> Tensor:
     return 1.0 - s_iou
 
 
-def soft_dice(a: Tensor, b: Tensor) -> Tensor:
-    """1 - (2*sum(ab)+eps)/(sum(a)+sum(b)+eps) over probability maps."""
-    if a.shape != b.shape:
-        raise ValueError(f"soft_dice: shape mismatch {a.shape} vs {b.shape}")
-    num = 2.0 * (a * b).sum() + EPSILON
-    den = a.sum() + b.sum() + EPSILON
-    return 1.0 - num / den
-
-
 # Each fused loss node in this module replaces a composite subgraph with one
 # tape node, as tensor.linear does: forward and backward run the composed
 # graph's numpy operations in its order, so the loss and every gradient are
@@ -91,8 +81,8 @@ def soft_dice(a: Tensor, b: Tensor) -> Tensor:
 
 
 def soft_dice_logits(logits: Tensor, target: np.ndarray) -> Tensor:
-    """``soft_dice(logits.sigmoid(), Tensor(target))`` as one node; the
-    target is a constant probability map."""
+    """The soft Dice loss ``1 - (2*sum(a*t)+eps)/(sum(a)+sum(t)+eps)`` of
+    ``a = sigmoid(logits)`` against a constant probability map ``t``, as one node."""
     if logits.shape != target.shape:
         raise ValueError(f"soft_dice_logits: shape mismatch {logits.shape} vs {target.shape}")
     a = _stable_sigmoid(logits.data)
@@ -174,7 +164,7 @@ def total_tta_loss(student: SegOutputs, teacher: SegOutputs | None, running_max:
         else:
             raise ValueError(f"total_tta_loss: unknown term {term!r}")
         total = part if total is None else total + part
-    return total, LossBreakdown(**logged, lambda_dpc=weight, total=float(total.data), s_iou=s_val)
+    return total, LossBreakdown(**logged, lambda_dpc=weight, total=float(total.data))
 
 
 # -- pretraining and baseline objectives -------------------------------------

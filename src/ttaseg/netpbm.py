@@ -97,10 +97,3 @@ def write_ppm(path, image: np.ndarray):
     data = encode(image)
     h, w = image.shape[1:]
     Path(path).write_bytes(b"P6\n%d %d\n255\n" % (w, h) + data.tobytes())
-
-
-def write_image(path, image: np.ndarray):
-    if np.asarray(image).ndim == 2:
-        write_pgm(path, image)
-    else:
-        write_ppm(path, image)

@@ -50,7 +50,6 @@ _YY.flags.writeable = _XX.flags.writeable = False
 class ShiftProfile:
     """Degradation recipe applied on top of the shared scene rendering."""
 
-    name: str
     grayscale: bool
     gamma_range: tuple
     blur_range: tuple
@@ -58,9 +57,9 @@ class ShiftProfile:
 
 
 PROFILES = {
-    "source": ShiftProfile("source", grayscale=False, gamma_range=(1.0, 1.0), blur_range=(0.0, 0.0), noise_sigma=0.01),
-    "mri-like": ShiftProfile("mri-like", grayscale=True, gamma_range=(0.4, 0.7), blur_range=(1.0, 2.0), noise_sigma=0.05),
-    "ct-like": ShiftProfile("ct-like", grayscale=True, gamma_range=(1.5, 2.5), blur_range=(0.5, 1.5), noise_sigma=0.03),
+    "source": ShiftProfile(grayscale=False, gamma_range=(1.0, 1.0), blur_range=(0.0, 0.0), noise_sigma=0.01),
+    "mri-like": ShiftProfile(grayscale=True, gamma_range=(0.4, 0.7), blur_range=(1.0, 2.0), noise_sigma=0.05),
+    "ct-like": ShiftProfile(grayscale=True, gamma_range=(1.5, 2.5), blur_range=(0.5, 1.5), noise_sigma=0.03),
 }
 
 
@@ -310,10 +309,10 @@ def write_dataset(samples, out_dir) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for i, s in enumerate(samples):
-        ext = "pgm" if s.image.ndim == 2 else "ppm"
-        img_name = f"img_{i:05d}.{ext}"
+        gray = s.image.ndim == 2
+        img_name = f"img_{i:05d}.{'pgm' if gray else 'ppm'}"
         mask_name = f"mask_{i:05d}.pgm"
-        netpbm.write_image(out / img_name, s.image)
+        (netpbm.write_pgm if gray else netpbm.write_ppm)(out / img_name, s.image)
         netpbm.write_pgm(out / mask_name, s.gt_mask)
         rows.append((img_name, mask_name))
     manifest = out / "manifest.csv"
@@ -325,19 +324,23 @@ def write_dataset(samples, out_dir) -> Path:
 
 
 def load_manifest(path) -> list:
-    """Pairs of (image_path, mask_path) resolved relative to the manifest."""
+    """Pairs of (image_path, mask_path) resolved relative to the manifest,
+    a UTF-8 CSV; a malformed manifest raises a ValueError naming the file."""
     path = Path(path)
     base = path.parent
     pairs = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != ["image", "mask"]:
-            raise ValueError(f"manifest {path}: expected header image,mask")
-        for i, row in enumerate(reader):
-            # a short row has None in its missing fields, a long one a None key
-            if None in row or not (row["image"] and row["mask"]):
-                raise ValueError(f"manifest {path}: row {i} must hold a non-empty image and mask path")
-            pairs.append((base / row["image"], base / row["mask"]))
+    with open(path, newline="", encoding="utf-8") as f:
+        try:
+            reader = csv.DictReader(f)
+            if reader.fieldnames != ["image", "mask"]:
+                raise ValueError(f"manifest {path}: expected header image,mask")
+            for i, row in enumerate(reader):
+                # a short row has None in its missing fields, a long one a None key
+                if None in row or not (row["image"] and row["mask"]):
+                    raise ValueError(f"manifest {path}: row {i} must hold a non-empty image and mask path")
+                pairs.append((base / row["image"], base / row["mask"]))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ValueError(f"manifest {path}: not a UTF-8 CSV of image,mask rows ({exc})") from exc
     if not pairs:
         raise ValueError(f"manifest {path}: no samples")
     return pairs

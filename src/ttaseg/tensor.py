@@ -155,13 +155,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
 
@@ -232,23 +225,6 @@ class Tensor:
         return Tensor._node(a.data * b.data, (a, b), bw, "mul")
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = as_tensor(other)
-        a, b = self, other
-        if np.any(b.data == 0.0):
-            raise DomainError(f"div: zero divisor (denominator produced by op {b._op!r})")
-
-        def bw(g):
-            if a.requires_grad:
-                a._accum_owned(_unbroadcast(g / b.data, a.data.shape))
-            if b.requires_grad:
-                b._accum_owned(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-        return Tensor._node(a.data / b.data, (a, b), bw, "div")
-
-    def __rtruediv__(self, other):
-        return as_tensor(other) / self
 
     def __matmul__(self, other):
         if not isinstance(other, Tensor):

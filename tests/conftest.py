@@ -9,7 +9,7 @@ import pytest
 from ttaseg import pretrain
 from ttaseg.losses import EPSILON
 from ttaseg.model import ModelConfig, SegModel, load_checkpoint
-from ttaseg.tensor import Tensor, _stable_sigmoid
+from ttaseg.tensor import DomainError, Tensor, _stable_sigmoid, _unbroadcast, as_tensor
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PINNED = json.loads((REPO_ROOT / "benchmarks" / "pinned.json").read_text())
@@ -78,6 +78,32 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     return Tensor._node(np.clip(x.data, lo, hi), (x,), lambda g: x._accum_owned(g * inside), "clip")
 
 
+def div(a, b) -> Tensor:
+    """a / b as one tape node, broadcasting as numpy does; a zero divisor
+    raises ``DomainError``."""
+    a, b = as_tensor(a), as_tensor(b)
+    if np.any(b.data == 0.0):
+        raise DomainError(f"div: zero divisor (denominator produced by op {b._op!r})")
+
+    def bw(g):
+        if a.requires_grad:
+            a._accum_owned(_unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            b._accum_owned(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+
+    return Tensor._node(a.data / b.data, (a, b), bw, "div")
+
+
+def soft_dice(a: Tensor, b: Tensor) -> Tensor:
+    """1 - (2*sum(ab)+eps)/(sum(a)+sum(b)+eps) over probability maps: the
+    graph ``losses.soft_dice_logits`` fuses into one node."""
+    if a.shape != b.shape:
+        raise ValueError(f"soft_dice: shape mismatch {a.shape} vs {b.shape}")
+    num = 2.0 * (a * b).sum() + EPSILON
+    den = a.sum() + b.sum() + EPSILON
+    return 1.0 - div(num, den)
+
+
 def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     """The sum over ``axis`` times 1 / (number of summed entries)."""
     n = x.data.size if axis is None else np.prod(
@@ -120,7 +146,7 @@ def softmax(x: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
     is a constant."""
     y = x * (1.0 / float(temperature))
     e = (y - Tensor(np.max(y.data, axis=axis, keepdims=True))).exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    return div(e, e.sum(axis=axis, keepdims=True))
 
 
 @pytest.fixture()

@@ -101,14 +101,15 @@ def test_c01_gradient_correctness_full_path():
             err = np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-3))
             worst = max(worst, float(err))
             assert err <= 1e-4, f"{term}/{name}: rel err {err:.2e}"
-    print(f"criterion 1: max rel err {worst:.2e} over {sum(l.size for l in leaves.values())} leaves x 4 losses")
+    print(f"criterion 1: max rel err {worst:.2e} over {sum(l.data.size for l in leaves.values())} leaves x 4 losses")
 
 
 def test_c02_closed_form_loss_values():
     """Hand-computed reference values reproduce within 1e-6."""
-    a = Tensor(np.array([[1.0, 1.0], [0.0, 0.0]]))
-    b = Tensor(np.array([[0.0, 1.0], [0.0, 1.0]]))
-    assert abs(losses.soft_dice(a, b).item() - 0.5) <= 1e-6
+    # logits of +-40 give the probability map [[1, 1], [0, 0]]
+    logits = Tensor(np.array([[40.0, 40.0], [-40.0, -40.0]]))
+    target = np.array([[0.0, 1.0], [0.0, 1.0]])
+    assert abs(float(losses.soft_dice_logits(logits, target).data) - 0.5) <= 1e-6
 
     rm = losses.RunningMax()
     rm.update(0.9)
@@ -117,11 +118,11 @@ def test_c02_closed_form_loss_values():
 
     z_t = Tensor(np.array([0.0, math.log(3.0)]).reshape(1, 1, 2))
     z_s = Tensor(np.zeros((1, 1, 2)))
-    kl = losses.l_ifc(z_s, z_t, 1.0 - EPS).item()
+    kl = float(losses.l_ifc(z_s, z_t, 1.0 - EPS).data)
     assert abs(kl - (0.25 * math.log(0.5) + 0.75 * math.log(1.5)) / 2.0) <= 1e-6
     assert abs(kl - 0.06540) <= 1e-5
 
-    entropy = losses.entropy_loss(Tensor(np.full((4, 4), math.log(3.0)))).item()
+    entropy = float(losses.entropy_loss(Tensor(np.full((4, 4), math.log(3.0)))).data)
     assert abs(entropy - 0.562335) <= 1e-6
 
     p = Tensor([3.0], requires_grad=True)
@@ -245,7 +246,7 @@ def test_c07_calibration_improves_in_all_seeds(accept_model):
 
 def test_c08_parameter_count_claims():
     curve = sbct.init_identity()
-    assert curve.size == 12
+    assert curve.data.size == 12
     assert curve.data.shape == (3, 4)
     from ttaseg.model import ModelConfig
     config = ModelConfig()
@@ -264,8 +265,8 @@ def test_c08_parameter_count_claims():
                               | {n for n in engine.student.params if n.startswith("prompt.")})
     d = config.embed_dim
     lora_total = config.encoder_blocks * 2 * config.lora_rank * (d + d)
-    assert sum(engine.student.params[n].size for n in lora_param_names(config)) == lora_total
-    assert engine.sbct_u.size == 12
+    assert sum(engine.student.params[n].data.size for n in lora_param_names(config)) == lora_total
+    assert engine.sbct_u.data.size == 12
     print(f"criterion 8: 12 curve scalars; rank-4 adapters ({lora_total} scalars); "
           f"trainable set enumerated exactly")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -6,8 +7,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import sqrt
+from conftest import CONFIG16, sqrt
 from ttaseg import losses, sbct, synthdata
 from ttaseg.adapt import (AdaptConfig, AdaptEngine, adapt_stream, ema_update, load_stream,
                           replicate_channels, run_calibration)
@@ -304,7 +307,7 @@ def test_mean_teacher_first_loss_small(accept_model):
         x = engine._student_input(sample.image)
         s_out = engine.student.forward(x, sample.box)
         t_out = engine._teacher_forward(sample.image, x, sample.box)
-        vals.append(losses.l_dpc(s_out, t_out).item())
+        vals.append(float(losses.l_dpc(s_out, t_out).data))
     assert np.mean(vals) <= 0.25
     assert max(vals) <= 0.5  # far below the O(1) loss of divergent pairs
 
@@ -348,14 +351,14 @@ def test_tent_step_decreases_entropy_on_same_image(accept_model):
     for sample in synthdata.gen_target(33, 6, "mri-like"):
         engine = AdaptEngine(accept_model, AdaptConfig(strategy="tent", seed=0))
         with no_grad():
-            before = losses.entropy_loss(
+            before = float(losses.entropy_loss(
                 engine.student.forward(engine._student_input(sample.image), sample.box).m_high
-            ).item()
+            ).data)
         engine.process(sample)
         with no_grad():
-            after = losses.entropy_loss(
+            after = float(losses.entropy_loss(
                 engine.student.forward(engine._student_input(sample.image), sample.box).m_high
-            ).item()
+            ).data)
         assert after <= before
 
 
@@ -770,3 +773,119 @@ def test_calibration_off_equals_none_strategy(base_model):
     rows = [engine.process(s)[1] for s in samples]
     for a, b in zip(report["modes"]["off"]["rows"], rows):
         assert a == b
+
+
+# -- adversarial streams ----------------------------------------------------------
+
+_SIDE = CONFIG16.image_size
+# pixels no image may hold: not finite, or one step outside [0, 1]
+_BAD_PIXELS = [np.nan, np.inf, -np.inf, np.nextafter(1.0, 2.0), np.nextafter(0.0, -1.0)]
+_LOSS_COLUMNS = ("l_icm", "l_dpc", "l_ifc", "lambda_dpc")
+# each objective term's value in the float breakdown, as total_tta_loss sums it
+_TERM_VALUES = {
+    "icm": lambda bd: bd.l_icm,
+    "dpc": lambda bd: bd.l_dpc,
+    "lambda_dpc": lambda bd: bd.lambda_dpc * bd.l_dpc,
+    "ifc": lambda bd: bd.l_ifc,
+}
+
+
+@st.composite
+def _adversarial_samples(draw):
+    """A gray or colour CONFIG16 sample: a good image, a constant one, or one
+    with a single bad pixel; its mask a rectangle of any size, or empty."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    shape = (3, _SIDE, _SIDE) if draw(st.booleans()) else (_SIDE, _SIDE)
+    kind = draw(st.sampled_from(["good", "constant", "bad-pixel"]))
+    if kind == "constant":
+        image = np.full(shape, draw(st.sampled_from([0.0, 0.5, 1.0])))
+    else:
+        image = rng.uniform(0.0, 1.0, shape)
+    if kind == "bad-pixel":
+        image.reshape(-1)[draw(st.integers(0, image.size - 1))] = draw(st.sampled_from(_BAD_PIXELS))
+    mask = np.zeros((_SIDE, _SIDE), dtype=bool)
+    if draw(st.integers(0, 4)):  # one mask in five is empty
+        y0, x0 = draw(st.integers(0, _SIDE - 1)), draw(st.integers(0, _SIDE - 1))
+        mask[y0:draw(st.integers(y0 + 1, _SIDE)), x0:draw(st.integers(x0 + 1, _SIDE))] = True
+    return StreamSample(image, mask, synthdata.oracle_box(mask) if mask.any() else None)
+
+
+def _row_values(row) -> np.ndarray:
+    return np.array(dataclasses.astuple(row), dtype=np.float64)
+
+
+def _run_checking_contracts(base, stream, config) -> list:
+    """Adapt on ``stream``, checking the engine's contracts after every
+    image; returns each image's prediction and row values."""
+    engine = AdaptEngine(base, config)
+    spec = engine.spec
+    frozen = [n for n in engine.student.params if n not in engine.adapters]
+    teachers = [] if engine.teacher is None else [engine.teacher]
+    teacher_tensors = [p for t in teachers for p in t.params.values()]
+    teacher_tensors += [] if engine.teacher_group is None else list(engine.teacher_group.values())
+    for p in teacher_tensors:  # flagged trainable, so that only the engine keeps gradients away
+        p.requires_grad = True
+    outputs = []
+    for i, sample in enumerate(stream):
+        made = len(engine.records)
+        pred, row = engine.process(sample)
+        outputs.append((pred, _row_values(row)))
+        skipped = [s["index"] for s in engine.skipped]
+        assert skipped.count(i) <= 1 and all(j <= i for j in skipped)
+        assert pred.shape == sample.gt_mask.shape and pred.dtype == bool
+        # frozen weights are bit for bit the base model's, in student and teacher
+        for model in (engine.student, *teachers):
+            for name in frozen:
+                assert np.array_equal(model.params[name].data, base.params[name].data), name
+        assert all(p.grad is None for p in teacher_tensors)
+        # a row's loss columns are nan exactly when the image was skipped
+        losses_logged = [getattr(row, c) for c in _LOSS_COLUMNS]
+        assert [math.isnan(v) for v in losses_logged] == [i in skipped] * len(_LOSS_COLUMNS), (i, row)
+        new = engine.records[made:]
+        assert len(new) <= config.steps_per_image
+        if i not in skipped and spec.objective:
+            assert len(new) == config.steps_per_image
+            assert losses_logged == [getattr(new[-1], c) for c in _LOSS_COLUMNS]
+        for bd in new:
+            if "lambda_dpc" in spec.objective:
+                assert 0.0 < bd.lambda_dpc <= 1.0, bd.lambda_dpc
+            else:
+                assert bd.lambda_dpc == 0.0
+            if "entropy" in spec.objective:
+                assert (bd.l_dpc, bd.l_ifc) == (0.0, 0.0)
+                continue
+            total = None
+            for term in spec.objective:
+                value = _TERM_VALUES[term](bd)
+                total = value if total is None else total + value
+            assert bd.total == total, (bd, spec.objective)
+        groups = [engine.curves, engine.adapters]
+        vectors = [v for g in groups for v in (g.flat, g.m, g.v)]
+        if engine.teacher_group is not None:
+            vectors.append(engine.teacher_group.flat)
+        assert all(np.isfinite(v).all() for v in vectors)
+    return outputs
+
+
+@pytest.mark.parametrize("reset", [False, True], ids=["carry", "reset"])
+@pytest.mark.parametrize("steps", [1, 2], ids=["K1", "K2"])
+@pytest.mark.parametrize("strategy", ["none", "tent", "mean-teacher", "sam-tta", "sbct-only"])
+@given(stream=st.lists(_adversarial_samples(), min_size=1, max_size=4),
+       iou_bias=st.sampled_from([None, -30.0, 30.0]))
+@settings(max_examples=15, deadline=None)
+def test_adversarial_streams_keep_every_contract(strategy, steps, reset, stream, iou_bias):
+    """Good, bad-pixel and constant images, gray and colour, empty masks and
+    a saturated IoU head, mixed in one stream: after every image the frozen
+    weights are untouched, the teacher has no gradient, lambda is in (0, 1],
+    the logged terms add up to the loss bit for bit, a row logs its losses
+    exactly when the image was not skipped, and every parameter and Adam
+    moment is finite; a second run writes the same rows."""
+    base = SegModel.build(CONFIG16, seed=3)
+    if iou_bias is not None:
+        base.params["dec.iou.b2"].data[...] = iou_bias
+    config = AdaptConfig(strategy=strategy, seed=1, steps_per_image=steps, reset_optimizer=reset)
+    first = _run_checking_contracts(base, stream, config)
+    second = _run_checking_contracts(base, stream, config)
+    for (pred_a, row_a), (pred_b, row_b) in zip(first, second):
+        assert np.array_equal(pred_a, pred_b)
+        assert np.array_equal(row_a, row_b, equal_nan=True)

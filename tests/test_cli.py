@@ -395,6 +395,21 @@ def test_calibrate_reports_an_undefined_correlation_as_null(tmp_path, capsys):
     assert all(row.dice == 0.0 for row in read_metrics_csv(out / "metrics_off.csv"))
 
 
+def test_an_interrupted_run_records_it_and_raises_on(tmp_path, monkeypatch):
+    """An interrupt (Ctrl-C) inside the body leaves run.json saying so, not
+    "running", and still stops the process."""
+    def interrupted(samples, out_dir):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("ttaseg.synthdata.write_dataset", interrupted)
+    out = tmp_path / "data"
+    with pytest.raises(KeyboardInterrupt):
+        run("gen", "--profile", "mri-like", "--n", "1", "--out", str(out))
+    manifest = json.loads((out / "run.json").read_text())
+    assert manifest["status"] == "interrupted" and "error" not in manifest
+    assert manifest["wall_clock_sec"] >= 0.0
+
+
 def test_run_manifest_written_on_failure_and_replayable(tmp_path):
     data = tmp_path / "data"
     assert run("gen", "--profile", "mri-like", "--n", "1", "--out", str(data)) == 0

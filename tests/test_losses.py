@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import assert_same_loss_and_grads, entropy_composed, loss_and_grads, softmax
+from conftest import assert_same_loss_and_grads, entropy_composed, loss_and_grads, soft_dice, softmax
 from fdcheck import assert_grads_close, numeric_grad
 from ttaseg.losses import (EPSILON, LossBreakdown, RunningMax, bce_with_logits, confidence_stat,
-                           entropy_loss, iou_head_loss, l_dpc, l_icm, l_ifc, lambda_dpc, soft_dice,
-                           total_tta_loss)
+                           entropy_loss, iou_head_loss, l_dpc, l_icm, l_ifc, lambda_dpc, total_tta_loss)
 from ttaseg.metrics import binary_iou
 from ttaseg.model import SegOutputs, tokens_to_grid
 from ttaseg.synthdata import BoxPrompt
@@ -37,13 +36,13 @@ def make_outputs(rng, scale=1.0, low=4, high=8, s_logit=0.0, tokens=4, dim=4,
 def test_iou_head_loss_zero_when_estimate_exact():
     m = Tensor(np.array([[5.0, 5.0], [-5.0, -5.0]]))
     gt = np.array([[True, True], [False, False]])
-    assert iou_head_loss(Tensor(1.0), m, gt).item() == 0.0
+    assert float(iou_head_loss(Tensor(1.0), m, gt).data) == 0.0
 
 
 def test_iou_head_loss_maximal_miss():
     m = Tensor(np.array([[5.0, -5.0]]))
     gt = np.array([[False, True]])  # true IoU 0
-    assert iou_head_loss(Tensor(1.0), m, gt).item() == 1.0
+    assert float(iou_head_loss(Tensor(1.0), m, gt).data) == 1.0
 
 
 def test_iou_head_loss_is_bitwise_the_numpy_square():
@@ -66,7 +65,7 @@ def test_iou_head_loss_hand_case():
     # prediction {(0,0),(0,1)}, gt {(0,1),(1,1)} -> IoU 1/3
     m = Tensor(np.array([[1.0, 1.0], [-1.0, -1.0]]))
     gt = np.array([[False, True], [False, True]])
-    got = iou_head_loss(Tensor(0.5), m, gt).item()
+    got = float(iou_head_loss(Tensor(0.5), m, gt).data)
     assert abs(got - (0.5 - 1.0 / 3.0) ** 2) <= 1e-12
     assert abs(got - 0.027778) <= 1e-5
 
@@ -75,8 +74,8 @@ def test_iou_head_loss_hand_case():
 
 
 def test_l_icm_values():
-    assert l_icm(Tensor(1.0)).item() == 0.0
-    assert abs(l_icm(Tensor(0.8)).item() - 0.2) <= 1e-15
+    assert float(l_icm(Tensor(1.0)).data) == 0.0
+    assert abs(float(l_icm(Tensor(0.8)).data) - 0.2) <= 1e-15
 
 
 def test_l_icm_gradient_matches_finite_differences():
@@ -94,18 +93,18 @@ def test_l_icm_gradient_matches_finite_differences():
 
 def test_soft_dice_identical_binary_masks():
     a = Tensor(np.array([1.0, 1.0, 0.0, 0.0]))
-    assert soft_dice(a, a).item() <= 1e-6
+    assert float(soft_dice(a, a).data) <= 1e-6
 
 
 def test_soft_dice_both_empty_is_exactly_zero():
     z = Tensor(np.zeros(6))
-    assert soft_dice(z, z).item() == 0.0
+    assert float(soft_dice(z, z).data) == 0.0
 
 
 def test_soft_dice_hand_case():
     a = Tensor(np.array([[1.0, 1.0], [0.0, 0.0]]))
     b = Tensor(np.array([[0.0, 1.0], [0.0, 1.0]]))
-    assert abs(soft_dice(a, b).item() - 0.5) <= 1e-6
+    assert abs(float(soft_dice(a, b).data) - 0.5) <= 1e-6
 
 
 def test_soft_dice_shape_mismatch():
@@ -119,14 +118,14 @@ def test_soft_dice_shape_mismatch():
 def test_l_dpc_zero_for_identical_confident_outputs():
     rng = np.random.default_rng(0)
     out = make_outputs(rng, saturated=True)
-    assert l_dpc(out, out).item() <= 1e-6
+    assert float(l_dpc(out, out).data) <= 1e-6
 
 
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_l_dpc_bounded(seed):
     rng = np.random.default_rng(seed)
-    val = l_dpc(make_outputs(rng), make_outputs(rng)).item()
+    val = float(l_dpc(make_outputs(rng), make_outputs(rng)).data)
     assert 0.0 <= val <= 2.0
 
 
@@ -257,7 +256,7 @@ def test_running_max_nondecreasing_and_finite_guard():
 def test_l_ifc_zero_for_identical_features():
     rng = np.random.default_rng(3)
     z = Tensor(rng.normal(size=(4, 3, 3)))
-    assert l_ifc(z, z, 0.5).item() == 0.0
+    assert float(l_ifc(z, z, 0.5).data) == 0.0
 
 
 @given(seed=st.integers(0, 10_000), s_iou=st.floats(0.05, 0.95))
@@ -266,13 +265,13 @@ def test_l_ifc_nonnegative(seed, s_iou):
     rng = np.random.default_rng(seed)
     a = Tensor(rng.normal(size=(3, 2, 4)))
     b = Tensor(rng.normal(size=(3, 2, 4)))
-    assert l_ifc(a, b, s_iou).item() >= 0.0
+    assert float(l_ifc(a, b, s_iou).data) >= 0.0
 
 
 def test_l_ifc_hand_value():
     z_t = Tensor(np.array([0.0, math.log(3.0)]).reshape(1, 1, 2))
     z_s = Tensor(np.zeros((1, 1, 2)))
-    got = l_ifc(z_s, z_t, 1.0 - EPSILON).item()
+    got = float(l_ifc(z_s, z_t, 1.0 - EPSILON).data)
     want = (0.25 * math.log(0.5) + 0.75 * math.log(1.5)) / 2.0
     assert abs(got - want) <= 1e-9
     assert abs(got - 0.06540) <= 1e-5
@@ -292,7 +291,7 @@ def test_l_ifc_gradient_matches_finite_differences():
     l_ifc(z_s, z_t, 0.6).backward()
 
     def f():
-        return l_ifc(Tensor(z_s.data), z_t, 0.6).item()
+        return float(l_ifc(Tensor(z_s.data), z_t, 0.6).data)
 
     assert_grads_close(z_s.grad, numeric_grad(f, z_s), rtol=1e-6, atol=1e-9)
 
@@ -307,7 +306,7 @@ def test_l_ifc_gradient_through_the_token_grid_matches_finite_differences(s_iou)
     l_ifc(tokens_to_grid(tokens), z_t, s_iou).backward()
 
     def f():
-        return l_ifc(tokens_to_grid(Tensor(tokens.data)), z_t, s_iou).item()
+        return float(l_ifc(tokens_to_grid(Tensor(tokens.data)), z_t, s_iou).data)
 
     assert_grads_close(tokens.grad, numeric_grad(f, tokens), rtol=1e-6, atol=1e-9)
 
@@ -319,7 +318,7 @@ def test_l_ifc_nan_feature_gives_nan_loss(side):
     rng = np.random.default_rng(10)
     student, teacher = rng.normal(size=(2, 3, 2, 2))
     (student if side == "student" else teacher)[1, 0, 1] = np.nan
-    assert np.isnan(l_ifc(Tensor(student, requires_grad=True), Tensor(teacher), 0.4).item())
+    assert np.isnan(float(l_ifc(Tensor(student, requires_grad=True), Tensor(teacher), 0.4).data))
 
 
 def test_l_ifc_rejects_shape_mismatch():
@@ -336,7 +335,7 @@ def test_total_vanishes_for_confident_identical_pair():
     rm = RunningMax()
     rm.update(float(out.s_iou.data))
     total, bd = total_tta_loss(out, out, rm)
-    assert total.item() <= 1e-5
+    assert float(total.data) <= 1e-5
     assert bd.l_ifc == 0.0
 
 
@@ -351,32 +350,32 @@ def test_breakdown_identity_and_weight_range():
         total, bd = total_tta_loss(student, teacher, rm)
         recomputed = bd.l_icm + bd.lambda_dpc * bd.l_dpc + 1.0 * bd.l_ifc
         assert abs(bd.total - recomputed) <= 1e-12
-        assert abs(total.item() - bd.total) == 0.0
+        assert abs(float(total.data) - bd.total) == 0.0
         assert 0.0 < bd.lambda_dpc <= 1.0
 
 
 def test_breakdown_fields():
-    bd = LossBreakdown(0.1, 0.2, 0.3, 0.5, 0.55, 0.9)
-    assert bd.total == 0.55 and bd.s_iou == 0.9
+    bd = LossBreakdown(0.1, 0.2, 0.3, 0.5, 0.55)
+    assert bd.total == 0.55
 
 
 # -- baselines and pretraining losses ----------------------------------------------
 
 
 def test_entropy_all_zero_logits_is_ln2():
-    assert abs(entropy_loss(Tensor(np.zeros((3, 3)))).item() - math.log(2.0)) <= 1e-12
+    assert abs(float(entropy_loss(Tensor(np.zeros((3, 3)))).data) - math.log(2.0)) <= 1e-12
 
 
 def test_entropy_saturated_logits_near_zero():
     # the epsilon clamp floors the entropy at ~1.5e-5
-    assert entropy_loss(Tensor(np.full((2, 2), 20.0))).item() <= 1e-4
-    assert entropy_loss(Tensor(np.full((2, 2), -20.0))).item() <= 1e-4
+    assert float(entropy_loss(Tensor(np.full((2, 2), 20.0))).data) <= 1e-4
+    assert float(entropy_loss(Tensor(np.full((2, 2), -20.0))).data) <= 1e-4
 
 
 def test_entropy_hand_value_at_three_quarters():
     logit = math.log(3.0)  # sigmoid -> 0.75
     want = -(0.75 * math.log(0.75) + 0.25 * math.log(0.25))
-    got = entropy_loss(Tensor(np.full((4, 4), logit))).item()
+    got = float(entropy_loss(Tensor(np.full((4, 4), logit))).data)
     assert abs(got - want) <= 1e-9
     assert abs(got - 0.5623) <= 1e-4
 
@@ -387,7 +386,7 @@ def test_bce_matches_reference_formula():
     gt = rng.uniform(size=(3, 3)) < 0.5
     p = 1.0 / (1.0 + np.exp(-logits))
     want = -np.mean(gt * np.log(p) + (~gt) * np.log(1.0 - p))
-    assert abs(bce_with_logits(Tensor(logits), gt).item() - want) <= 1e-9
+    assert abs(float(bce_with_logits(Tensor(logits), gt).data) - want) <= 1e-9
 
 
 def _nodes_built(monkeypatch, build):
@@ -456,6 +455,6 @@ def test_entropy_gradient_matches_finite_differences():
     entropy_loss(x).backward()
 
     def f():
-        return entropy_loss(Tensor(x.data)).item()
+        return float(entropy_loss(Tensor(x.data)).data)
 
     assert_grads_close(x.grad, numeric_grad(f, x), rtol=1e-6, atol=1e-10)

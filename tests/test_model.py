@@ -94,7 +94,7 @@ def test_lora_delta_has_bounded_rank(model64):
 def test_lora_parameter_count(model64):
     model64.attach_lora(seed=0)
     names = lora_param_names(model64.config)
-    count = sum(model64.params[n].size for n in names)
+    count = sum(model64.params[n].data.size for n in names)
     cfg = model64.config
     d = cfg.embed_dim
     assert count == cfg.encoder_blocks * 2 * cfg.lora_rank * (d + d)

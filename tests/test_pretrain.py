@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import PINNED, assert_same_loss_and_grads, bce_composed, loss_and_grads
+from conftest import PINNED, assert_same_loss_and_grads, bce_composed, loss_and_grads, soft_dice
 from ttaseg import losses, synthdata
 from ttaseg.model import load_checkpoint
 from ttaseg.pretrain import (VAL_SEED_OFFSET, PretrainConfig, downsample_mask, evaluate, pretrain,
@@ -162,9 +162,9 @@ def test_sample_loss_is_bitwise_the_composed_graph(model16):
     def composed():
         out = model16.forward(sample.image, sample.box)
         gt = sample.gt_mask
-        return (losses.soft_dice(out.m_high.sigmoid(), Tensor(gt.astype(np.float64)))
+        return (soft_dice(out.m_high.sigmoid(), Tensor(gt.astype(np.float64)))
                 + bce_composed(out.m_high, gt)
-                + losses.soft_dice(out.m_low.sigmoid(), Tensor(downsample_mask(gt, 4)))
+                + soft_dice(out.m_low.sigmoid(), Tensor(downsample_mask(gt, 4)))
                 + losses.iou_head_loss(out.s_iou, out.m_high, gt))
 
     fused = loss_and_grads(model16, lambda: sample_loss(model16, sample)[0])

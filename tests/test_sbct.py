@@ -83,7 +83,7 @@ def test_identity_init_is_near_identity():
 
 def test_identity_init_has_twelve_identical_channel_scalars():
     u = init_identity()
-    assert u.size == 12 and u.shape == (3, 4)
+    assert u.data.size == 12 and u.shape == (3, 4)
     assert np.array_equal(u.data[0], u.data[1])
     assert np.array_equal(u.data[0], u.data[2])
 

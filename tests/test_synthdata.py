@@ -1,4 +1,6 @@
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.ndimage import binary_dilation, gaussian_filter, sobel
 
 from ttaseg import synthdata
-from ttaseg.netpbm import write_image, write_pgm
+from ttaseg.netpbm import write_pgm, write_ppm
 from ttaseg.synthdata import (BOX_PAD, PROFILES, BoxPrompt, ShiftProfile, degrade, draw_scene,
                               gen_source, gen_target, load_manifest, load_sample, oracle_box, paint,
                               sample_spec, scenes, write_dataset)
@@ -68,8 +70,7 @@ def test_source_boundaries_much_sharper_than_target():
 
 
 def test_identity_shift_degenerates_to_grayscale_of_source_render():
-    identity = ShiftProfile("identity", grayscale=True, gamma_range=(1.0, 1.0),
-                            blur_range=(0.0, 0.0), noise_sigma=0.0)
+    identity = ShiftProfile(grayscale=True, gamma_range=(1.0, 1.0), blur_range=(0.0, 0.0), noise_sigma=0.0)
     for idx in range(4):
         spec_t = sample_spec(5, idx, identity)
         spec_s = sample_spec(5, idx, PROFILES["source"])
@@ -194,7 +195,7 @@ def test_load_sample_rejects_a_mask_that_does_not_fit_the_image(tmp_path, mask_n
     with both paths and both shapes in the message."""
     image_path, mask_path = tmp_path / "img.pgm", tmp_path / mask_name
     write_pgm(image_path, np.full((64, 64), 0.5))
-    write_image(mask_path, mask)
+    (write_pgm if mask.ndim == 2 else write_ppm)(mask_path, mask)
     with pytest.raises(ValueError) as excinfo:
         load_sample(image_path, mask_path)
     message = str(excinfo.value)
@@ -233,6 +234,53 @@ def test_malformed_manifest_row_names_file_and_row(tmp_path, row):
     manifest.write_text(f"image,mask\nimg_00000.pgm,mask_00000.pgm\n{row}\n")
     with pytest.raises(ValueError, match=rf"manifest {manifest}: row 1 "):
         load_manifest(manifest)
+
+
+@pytest.mark.parametrize("blob", [b"image,mask\nimg_\xff.pgm,mask_00000.pgm\n",
+                                  b"image,mask\n" + b"i" * 140_000 + b",mask_00000.pgm\n"],
+                         ids=["not-utf8", "over-long-field"])
+def test_an_unreadable_manifest_is_a_value_error_naming_it(tmp_path, blob):
+    """A byte that is not UTF-8, or a field past the csv module's limit, is
+    refused as a ValueError that names the manifest."""
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_bytes(blob)
+    with pytest.raises(ValueError) as excinfo:
+        load_manifest(manifest)
+    assert str(manifest) in str(excinfo.value)
+
+
+# what a manifest header or field may be: the expected names in another case
+# or order, empty, NUL, a comma or quote inside a field, a lone quote, a byte
+# that is not UTF-8, and one field past the csv module's 131,072 limit
+_MANIFEST_HEADERS = [b"image,mask", b"mask,image", b"image", b"image,mask,extra", b"", b"Image,Mask",
+                     b'"image","mask"', b"image;mask"]
+_MANIFEST_FIELDS = [b"img_00000.pgm", b"mask_00000.pgm", b"", b"a\x00b.pgm", b'"x, y.pgm"', b'"', b"\xff.pgm",
+                    "\u00e9.pgm".encode(), b"x" * 140_000]
+
+
+@given(header=st.sampled_from(_MANIFEST_HEADERS),
+       rows=st.lists(st.lists(st.sampled_from(_MANIFEST_FIELDS), max_size=4), max_size=4),
+       bom=st.booleans(), newline=st.sampled_from([b"\n", b"\r\n", b"\r"]),
+       overwrites=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_a_mangled_manifest_loads_or_fails_naming_the_file(header, rows, bom, newline, overwrites):
+    """Header variants, short and long rows, empty fields, NUL, a BOM, byte
+    overwrites and over-long fields: the manifest loads as a non-empty list
+    of path pairs, or raises a ValueError that names it."""
+    blob = bytearray(b"\xef\xbb\xbf" if bom else b"")
+    blob += newline.join([header] + [b",".join(row) for row in rows]) + newline
+    for position, value in overwrites:
+        blob[position % len(blob)] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "manifest.csv"
+        path.write_bytes(blob)
+        try:
+            pairs = load_manifest(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+        else:
+            assert pairs and all(isinstance(p, Path) for pair in pairs for p in pair)
+            assert all(len(pair) == 2 for pair in pairs)
 
 
 def test_source_is_color_target_is_gray():

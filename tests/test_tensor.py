@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import (bce_composed, clip, entropy_composed, gelu_parts_ref, gelu_slope_ref, mean, neg, softmax, softplus,
-                      sqrt, stable_sigmoid_ref)
+from conftest import (bce_composed, clip, div, entropy_composed, gelu_parts_ref, gelu_slope_ref, mean, neg, soft_dice,
+                      softmax, softplus, sqrt, stable_sigmoid_ref)
 from fdcheck import assert_grads_close, numeric_grad
 import ttaseg
 from ttaseg import adapt, losses, synthdata, tensor
@@ -26,7 +26,7 @@ from ttaseg.tensor import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, DomainError, ParamG
 
 
 def test_sigmoid_at_zero():
-    assert Tensor(0.0).sigmoid().item() == 0.5
+    assert float(Tensor(0.0).sigmoid().data) == 0.5
 
 
 def test_add_elementwise():
@@ -37,7 +37,7 @@ def test_add_elementwise():
 def test_sigmoid_gradient_matches_central_difference():
     x = Tensor(0.0, requires_grad=True)
     x.sigmoid().backward()
-    fd = numeric_grad(lambda: Tensor(x.data).sigmoid().item(), x)
+    fd = numeric_grad(lambda: float(Tensor(x.data).sigmoid().data), x)
     assert abs(float(x.grad) - 0.25) <= 1e-8
     assert abs(float(x.grad) - float(fd)) <= 1e-8
 
@@ -153,7 +153,7 @@ def test_domain_errors_carry_provenance():
     with pytest.raises(DomainError, match="log"):
         (Tensor([1.0, -2.0])).log()
     with pytest.raises(DomainError, match="zero divisor"):
-        Tensor([1.0]) / Tensor([0.0])
+        div(Tensor([1.0]), Tensor([0.0]))
 
 
 def _fused_node_cases(model):
@@ -180,7 +180,7 @@ def test_ops_do_not_mutate_inputs(model16):
     x = Tensor([0.1, 0.2, 0.3], requires_grad=True)
     before = x.data.copy()
     y = clip((x * 3 - 1).sigmoid() + x.exp(), 0.0, 10.0)
-    (y.sum() / 2).backward()
+    div(y.sum(), 2).backward()
     assert np.array_equal(x.data, before)
     for name, inputs, build in _fused_node_cases(model16):
         arrays = [t.data if isinstance(t, Tensor) else t for t in inputs]
@@ -249,7 +249,7 @@ _UNARY_OPS = {
     "sin": (lambda t: t.sin(), -3.0, 3.0),
     "cos": (lambda t: t.cos(), -3.0, 3.0),
     "neg": (neg, -3.0, 3.0),
-    "recip": (lambda t: 1.0 / t, 0.2, 3.0),
+    "recip": (lambda t: div(1.0, t), 0.2, 3.0),
     # inputs stay strictly inside the clip window so the kink is not sampled
     "clip": (lambda t: clip(t, -10.0, 10.0), -3.0, 3.0),
 }
@@ -286,7 +286,7 @@ def test_binary_gradients_match_finite_differences(seed):
     s = Tensor(rng.uniform(0.5, 2.0), requires_grad=True)  # scalar broadcast
 
     def expr():
-        return ((a * b + a / b - b) * s).sum()
+        return ((a * b + div(a, b) - b) * s).sum()
 
     def f():
         return float(expr().data)
@@ -378,7 +378,7 @@ def _composed_layer_norm(x, g, b):
     mu = mean(x, axis=-1, keepdims=True)
     xc = x - mu
     var = mean(xc * xc, axis=-1, keepdims=True)
-    return xc / sqrt(var + 1e-5) * g + b
+    return div(xc, sqrt(var + 1e-5)) * g + b
 
 
 def _composed_attention(q, k, v, heads):
@@ -548,8 +548,8 @@ def _soft_dice_case(seed):
     rng = np.random.default_rng(seed)
     x = Tensor(rng.normal(0.0, 2.0, (12, 23)), requires_grad=True)
     target = rng.uniform(0.0, 1.0, (12, 23))
-    return ([x], (lambda: losses.soft_dice_logits(x, target) * x.size),
-            (lambda: losses.soft_dice(x.sigmoid(), Tensor(target)) * x.size))
+    return ([x], (lambda: losses.soft_dice_logits(x, target) * x.data.size),
+            (lambda: soft_dice(x.sigmoid(), Tensor(target)) * x.data.size))
 
 
 def _bce_case(seed, soft=False):
@@ -561,7 +561,7 @@ def _bce_case(seed, soft=False):
     gt = rng.uniform(0.0, 1.0, (12, 23))
     if not soft:
         gt = gt < 0.4
-    return [x], (lambda: losses.bce_with_logits(x, gt) * x.size), (lambda: bce_composed(x, gt) * x.size)
+    return [x], (lambda: losses.bce_with_logits(x, gt) * x.data.size), (lambda: bce_composed(x, gt) * x.data.size)
 
 
 def _soft_bce_case(seed):
@@ -577,7 +577,7 @@ def test_fused_loss_is_bitwise_the_composed_graph(case, seed):
 
 # (fused node, composed graph) of each loss on logits x and a probability map t
 _LOSS_PAIRS = {
-    "soft_dice": (losses.soft_dice_logits, lambda x, t: losses.soft_dice(x.sigmoid(), Tensor(t))),
+    "soft_dice": (losses.soft_dice_logits, lambda x, t: soft_dice(x.sigmoid(), Tensor(t))),
     "bce": (lambda x, t: losses.bce_with_logits(x, t < 0.4), lambda x, t: bce_composed(x, t < 0.4)),
     "bce-soft-labels": (losses.bce_with_logits, bce_composed),
     "entropy": (lambda x, t: losses.entropy_loss(x), lambda x, t: entropy_composed(x)),
@@ -600,7 +600,7 @@ def test_fused_loss_is_bitwise_the_composed_graph_when_one_operand_is_transposed
         rng = np.random.default_rng(seed)
         x = Tensor(stored(rng.normal(0.0, 2.0, (12, 23)), "logits"), requires_grad=True)
         loss = fn(x, stored(rng.uniform(0.0, 1.0, (12, 23)), "target"))
-        (loss * float(x.size)).backward()
+        (loss * float(x.data.size)).backward()
         return loss.data, x.grad
 
     (loss, grad), (loss_ref, grad_ref) = (loss_and_grad(fn) for fn in _LOSS_PAIRS[name])
