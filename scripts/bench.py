@@ -9,12 +9,12 @@ and compare two of them pair by pair.
 For every seed, workload of ``BENCHMARK.json`` and trace mode
 (``--trace 0`` gives the end-to-end metrics, ``--trace 1`` the per-layer
 ones) the first form runs ``python3 perfbench/run.py`` once in each tree,
-from that tree's root, alternating which tree goes first so that a drift of
-the machine's speed falls on every tree alike. Then it writes one
-``BENCH_<tag>.json`` per tree into ``--out-dir``: for every metric its
-unit, trace mode, median over the seeds, IQR/median and the value of each
-run; every run's correctness, wall time and metrics; and the environment
-record of the tree's first run. A run that fails or reports
+from that tree's root, alternating seed by seed which tree goes first, so
+that a drift of the machine's speed falls on every tree alike. Then it
+writes one ``BENCH_<tag>.json`` per tree into ``--out-dir``: for every
+metric its unit, trace mode, median over the seeds, IQR/median and the
+value of each run; every run's correctness, wall time and metrics; and the
+environment record of the tree's first run. A run that fails or reports
 ``correct=false`` is kept in the file and makes the script exit with
 status 1.
 
@@ -123,9 +123,10 @@ def record(trees: list, seeds: list, seconds: float, out_dir: Path, traces=(0, 1
     """Run the plan in every tree, interleaved, and write one BENCH file per
     tree; returns the summaries by tag and whether every run was correct."""
     runs = {tag: [] for tag, _ in trees}
-    plan = list(itertools.product(seeds, WORKLOADS, traces))
-    for i, (seed, workload, trace) in enumerate(plan):
-        for tag, tree in trees if i % 2 == 0 else reversed(trees):
+    plan = list(itertools.product(enumerate(seeds), WORKLOADS, traces))
+    for i, ((k, seed), workload, trace) in enumerate(plan):
+        # seed by seed, so that each (workload, trace) alternates on its own
+        for tag, tree in trees if k % 2 == 0 else reversed(trees):
             run = run_once(tree, workload, seed, seconds, trace)
             runs[tag].append({"workload": workload, "seed": seed, "trace": trace, **run})
             print(f"bench: {i + 1}/{len(plan)} {tag} {workload} seed {seed} trace {trace} "

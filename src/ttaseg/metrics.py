@@ -190,14 +190,25 @@ def write_metrics_csv(rows, path):
 
 
 def read_metrics_csv(path) -> list:
+    """The rows of a UTF-8 metrics CSV; a malformed file raises a ValueError
+    naming the file and, for a bad row, the row (counted from 0 after the header)."""
     rows = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != CSV_HEADER:
-            raise ValueError(f"metrics csv {path}: unexpected header {reader.fieldnames}")
-        for rec in reader:
-            rows.append(MetricsRow(index=int(rec["index"]),
-                                   **{k: float(rec[k]) for k in CSV_HEADER[1:]}))
+    with open(path, newline="", encoding="utf-8") as f:
+        try:
+            reader = csv.DictReader(f)
+            if reader.fieldnames != CSV_HEADER:
+                raise ValueError(f"metrics csv {path}: unexpected header {reader.fieldnames}")
+            for i, rec in enumerate(reader):
+                # a short row has None in its missing fields, a long one a None key
+                if None in rec or None in rec.values():
+                    raise ValueError(f"metrics csv {path}: row {i} must hold the "
+                                     f"{len(CSV_HEADER)} fields of the header")
+                try:
+                    rows.append(MetricsRow(index=int(rec["index"]), **{k: float(rec[k]) for k in CSV_HEADER[1:]}))
+                except ValueError as exc:
+                    raise ValueError(f"metrics csv {path}: row {i}: {exc}") from None
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ValueError(f"metrics csv {path}: not a UTF-8 CSV of metrics rows ({exc})") from exc
     return rows
 
 

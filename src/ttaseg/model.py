@@ -12,7 +12,7 @@ forward pass bit-identical.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from math import isqrt
 
 import numpy as np
@@ -28,26 +28,23 @@ _LORA_BITS = {"q": 1, "k": 2, "v": 4, "o": 8}
 class ModelConfig:
     image_size: int = 64
     embed_dim: int = 32
-    encoder_blocks: int = 2
     attention_heads: int = 4
-    lora_rank: int = 4
-    lora_targets: str = "qv"
 
     # the decoder's three 2x stages take the token grid to the image side
     patch_size = 8
+    # fixed, as nothing varies them; every checkpoint header still stores them
+    encoder_blocks = 2
+    lora_rank = 4
+    lora_targets = "qv"
 
     def __post_init__(self):
-        for name in ("image_size", "embed_dim", "attention_heads", "lora_rank"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"ModelConfig: {name} must be positive")
-        if self.encoder_blocks < 0:
-            raise ValueError("ModelConfig: encoder_blocks must not be negative")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"ModelConfig: {f.name} must be positive")
         if self.image_size % self.patch_size:
             raise ValueError(f"ModelConfig: image_size must be divisible by patch_size {self.patch_size}")
         if self.embed_dim % self.attention_heads:
             raise ValueError("ModelConfig: embed_dim must be divisible by attention_heads")
-        if not set(self.lora_targets) <= set("qkvo") or not self.lora_targets:
-            raise ValueError("ModelConfig: lora_targets must be a nonempty subset of 'qkvo'")
 
     @property
     def grid(self) -> int:
@@ -174,7 +171,7 @@ class SegModel:
         return any(name.endswith(".lora_a") for name in self.params)
 
     def attach_lora(self, seed: int):
-        """Add rank-r adapters on the configured attention projections.
+        """Add rank-``lora_rank`` adapters on the ``lora_targets`` projections.
 
         A is small random, B is zero, so the adapted forward initially
         equals the base forward exactly.
@@ -325,8 +322,9 @@ def tokens_to_grid(z: Tensor) -> Tensor:
 # -- checkpoint format ------------------------------------------------------
 #
 # magic "TTAF", u32 version, u32 field count, then (u32 name_len, name,
-# u32 value) header fields sorted by name: every ModelConfig field (lora_targets
-# as a q=1 k=2 v=4 o=8 bitmask), patch, lowres and highres sizes, has_lora.
+# u32 value) header fields sorted by name: the three ModelConfig fields, its
+# constants encoder_blocks, lora_rank, lora_targets (a q=1 k=2 v=4 o=8 bitmask)
+# and patch_size, the lowres and highres sizes, and has_lora.
 # Then u32 tensor count, then per tensor sorted by name: u32 name_len, name,
 # u32 rank, u32 dims..., little-endian f64 data.
 
@@ -337,7 +335,8 @@ _MIN_RECORD = 17  # bytes of a tensor with a one-byte name, rank 0 and one f64
 
 def _header(config: ModelConfig, has_lora: bool) -> dict:
     """The header of a checkpoint of ``config``, with or without adapters."""
-    names = [f.name for f in fields(ModelConfig)] + ["patch_size", "lowres_size", "highres_size"]
+    names = [f.name for f in fields(ModelConfig)]
+    names += ["encoder_blocks", "lora_rank", "patch_size", "lowres_size", "highres_size"]
     header = {name: getattr(config, name) for name in names}
     header["lora_targets"] = sum(_LORA_BITS[t] for t in config.lora_targets)
     header["has_lora"] = int(has_lora)
@@ -408,29 +407,20 @@ def load_checkpoint(path) -> SegModel:
     if stored.keys() != names:
         raise ValueError(f"checkpoint {path}: header fields missing {sorted(names - stored.keys())}, "
                          f"unexpected {sorted(stored.keys() - names)}")
-    kwargs = {f.name: stored[f.name] for f in fields(ModelConfig)}
-    kwargs["lora_targets"] = "".join(t for t, bit in _LORA_BITS.items() if stored["lora_targets"] & bit)
     try:
-        config = ModelConfig(**kwargs)
+        config = ModelConfig(**{f.name: stored[f.name] for f in fields(ModelConfig)})
     except ValueError as exc:
         raise ValueError(f"checkpoint {path}: {exc}") from None
     for key, value in sorted(_header(config, bool(stored["has_lora"])).items()):
         if stored[key] != value:
             raise ValueError(f"checkpoint {path}: header field {key!r} stores {stored[key]}, expected {value}")
-
-    def table(blocks):
-        small = replace(config, encoder_blocks=blocks)
-        return tensor_table(small) + (tensor_table(small, lora=True) if stored["has_lora"] else [])
-
+    rows = tensor_table(config) + (tensor_table(config, lora=True) if stored["has_lora"] else [])
+    expected = {name: shape for name, shape, _ in rows}
     count = reader.u32()
-    # len(table(encoder_blocks)) in closed form, so that a header claiming
-    # more tensors than the file can hold builds no table
-    at0, at1 = len(table(0)), len(table(1))
-    claimed = max(count, at0 + config.encoder_blocks * (at1 - at0))
+    claimed = max(count, len(expected))
     left = len(reader.blob) - reader.pos
     if claimed * _MIN_RECORD > left:
         raise ValueError(f"checkpoint {path}: truncated, {left} bytes left cannot hold {claimed} tensors")
-    expected = {name: shape for name, shape, _ in table(config.encoder_blocks)}
     params = {}
     for _ in range(count):
         name = reader.name()

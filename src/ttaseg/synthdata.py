@@ -250,16 +250,14 @@ def _gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def degrade(image: np.ndarray, spec: SceneSpec) -> np.ndarray:
-    """Apply the shift recipe: grayscale, gamma, blur, then noise."""
+    """Apply the shift recipe: grayscale, gamma, blur (of the gray plane:
+    no colour profile blurs), then noise."""
     out = _LUMA @ image.reshape(3, -1) if spec.grayscale else image
     out = out.reshape((CANVAS, CANVAS) if spec.grayscale else image.shape)
     if spec.gamma != 1.0:
         out = out ** spec.gamma
     if spec.blur_sigma > 0:
-        if out.ndim == 2:
-            out = _gaussian_blur(out, spec.blur_sigma)
-        else:
-            out = np.stack([_gaussian_blur(out[c], spec.blur_sigma) for c in range(3)])
+        out = _gaussian_blur(out, spec.blur_sigma)
     if spec.noise_sigma > 0:
         noise = _rng(spec.stream_seed, spec.index, _TAG_NOISE).standard_normal(out.shape)
         out = out + spec.noise_sigma * noise

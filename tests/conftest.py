@@ -19,9 +19,7 @@ PINNED = json.loads((REPO_ROOT / "benchmarks" / "pinned.json").read_text())
 CONFIG16 = ModelConfig(
     image_size=16,
     embed_dim=8,
-    encoder_blocks=2,
     attention_heads=2,
-    lora_rank=4,
 )
 
 

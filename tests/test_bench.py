@@ -1,6 +1,9 @@
-"""``scripts/bench.py compare``: pairing by seed, counts and verdicts."""
+"""``scripts/bench.py``: the order of a pair's runs, and ``compare``'s
+pairing by seed, counts and verdicts."""
 
 import importlib.util
+
+import pytest
 
 from conftest import REPO_ROOT
 
@@ -35,3 +38,23 @@ def test_verdict_needs_nine_tenths_of_ten_pairs():
     assert bench.verdict("pretrain.ms_per_sample", "ms", old[:9], [9.0] * 9).startswith("no verdict")
     assert bench.verdict("adapted_rate", "ratio", [1.0, 1.0], [1.0, 0.99]) == "changed (1 of 2 pairs)"
     assert bench.verdict("none.mean_dice", "dice", [0.4, 0.5], [0.4, 0.5]) == "equal"
+
+
+@pytest.mark.parametrize("traces", [(0,), (0, 1)])
+def test_record_alternates_the_first_tree_seed_by_seed(tmp_path, monkeypatch, traces):
+    """Over four seeds, each tree runs first in two pairs of every
+    (workload, trace), whatever the number of workloads and trace modes."""
+    order = []
+
+    def run_once(tree, workload, seed, seconds, trace):
+        order.append((tree.name, workload, seed, trace))
+        return {"result": {"correct": True, "metrics": {}}, "record": {}, "wall_s": 0.0}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    trees = [("base", tmp_path / "base"), ("change", tmp_path / "change")]
+    bench.record(trees, [1, 2, 3, 4], 0.0, tmp_path / "out", traces)
+    assert len(order) == 2 * 4 * len(bench.WORKLOADS) * len(traces)
+    for workload in bench.WORKLOADS:
+        for trace in traces:
+            firsts = [next(o[0] for o in order if o[1:] == (workload, seed, trace)) for seed in (1, 2, 3, 4)]
+            assert sorted(firsts) == ["base", "base", "change", "change"], (workload, trace, firsts)

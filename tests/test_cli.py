@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +9,7 @@ import pytest
 
 from ttaseg import netpbm
 from ttaseg.cli import main
-from ttaseg.metrics import hd95_sentinel, read_metrics_csv
+from ttaseg.metrics import CSV_HEADER, hd95_sentinel, read_metrics_csv
 from ttaseg.model import ModelConfig, SegModel, save_checkpoint
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -77,17 +76,31 @@ def test_gen_source_writes_ppm(tmp_path):
     assert len(list(out.glob("img_*.ppm"))) == 2
 
 
+# the exit code and tracemalloc peak of one ``ttaseg`` command, traced from
+# just before ``main`` in a fresh interpreter
+_PEAK_SCRIPT = """
+import sys, tracemalloc
+from ttaseg.cli import main
+tracemalloc.start()
+code = main(sys.argv[1:])
+print(code, tracemalloc.get_traced_memory()[1])
+"""
+
+
 def test_gen_writes_each_sample_as_it_paints_it(tmp_path):
     """48 more colour samples (4.5 MiB painted) add less than 1 MiB to the
-    peak: one painted sample is alive at a time."""
+    peak: one painted sample is alive at a time. Each run has an interpreter
+    of its own, so what earlier tests left (interned strings, say) does not
+    grow under the trace."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
     peaks = []
     for n in (16, 64):
-        tracemalloc.start()
-        try:
-            assert run("gen", "--profile", "source", "--n", str(n), "--out", str(tmp_path / str(n))) == 0
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        argv = ["gen", "--profile", "source", "--n", str(n), "--out", str(tmp_path / str(n))]
+        out = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, *argv], env=env, capture_output=True,
+                             text=True, timeout=300)
+        code, peak = out.stdout.splitlines()[-1].split()
+        assert code == "0", out.stderr
+        peaks.append(int(peak))
     assert len(list((tmp_path / "64").glob("img_*.ppm"))) == 64
     assert peaks[1] - peaks[0] < 2**20
 
@@ -335,6 +348,16 @@ def test_eval_rejects_a_prediction_of_another_size_naming_both_files(tmp_path):
     for part in (str(tmp_path / "data" / "mask_00000.pgm"), str(tmp_path / "pred" / "pred_00000.pgm"),
                  "(64, 64)", "(32, 32)"):
         assert part in error
+
+
+def test_eval_rejects_a_malformed_metrics_file_naming_it(tmp_path):
+    """The ``metrics.csv`` that ``eval`` carries logged columns from is read
+    as ``adapt`` wrote it; a row it did not write ends ``eval`` with exit 2."""
+    def bad_metrics(data, pred):
+        (pred / "metrics.csv").write_text(",".join(CSV_HEADER) + "\n0,0.9,1.5\n")
+
+    error = _eval_error(tmp_path, bad_metrics)
+    assert f"metrics csv {tmp_path / 'pred' / 'metrics.csv'}: row 0 must hold the 9 fields" in error
 
 
 def test_eval_missing_prediction_is_runtime_error(tmp_path):

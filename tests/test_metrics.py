@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -314,6 +315,56 @@ def test_csv_roundtrip(tmp_path):
         for key in CSV_HEADER:
             va, vb = getattr(a, key), getattr(b, key)
             assert (va == vb) or (math.isnan(va) and math.isnan(vb))
+
+
+_GOOD_ROW = b"0,0.9,1.5,0.8,0.85,0.2,0.1,0.05,1.0"
+
+
+@pytest.mark.parametrize("row, message", [
+    (b"x,0.9,1.5,0.8,0.85,0.2,0.1,0.05,1.0", "row 1: invalid literal for int()"),
+    (b"1,0.9,1.5", "row 1 must hold the 9 fields of the header"),
+    (b"1,0.9,1.5,0.8,0.85,0.2,0.1,0.05,1.0,7", "row 1 must hold the 9 fields of the header"),
+    (b"1,0.9,1.5,0.8,0.85,0.2,0.1,0.05,\xff", "not a UTF-8 CSV"),
+], ids=["int-index", "short-row", "long-row", "not-utf8"])
+def test_a_malformed_metrics_row_is_a_value_error_naming_the_file_and_row(tmp_path, row, message):
+    path = tmp_path / "metrics.csv"
+    path.write_bytes(b"\n".join([",".join(CSV_HEADER).encode(), _GOOD_ROW, row]) + b"\n")
+    with pytest.raises(ValueError) as excinfo:
+        read_metrics_csv(path)
+    assert str(excinfo.value).startswith(f"metrics csv {path}: ")
+    assert message in str(excinfo.value)
+
+
+# what a metrics field may be: a number, nan and inf, a number with a space
+# or an underscore, empty, NUL, text, a quote, a byte that is not UTF-8, an
+# integer past Python's 4,300 digits, and one field past the csv module's
+# 131,072 limit
+_METRICS_FIELDS = [b"0", b"3", b"0.25", b"nan", b"-inf", b" 2", b"1_0", b"", b"a\x00b", b"x", b'"', b'"1,2"',
+                   b"\xff", b"9" * 5_000, b"9" * 140_000]
+
+
+@given(header=st.sampled_from([",".join(CSV_HEADER).encode(), b"index,dice", b""]),
+       rows=st.lists(st.lists(st.sampled_from(_METRICS_FIELDS), min_size=7, max_size=11), max_size=3),
+       newline=st.sampled_from([b"\n", b"\r\n"]),
+       overwrites=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_a_mangled_metrics_file_loads_or_fails_naming_the_file(header, rows, newline, overwrites):
+    """Header variants, short and long rows, fields that are not numbers and
+    byte overwrites: the file loads as rows of the header's fields, or raises
+    a ValueError that names it."""
+    blob = bytearray(newline.join([header] + [b",".join(row) for row in rows]) + newline)
+    for position, value in overwrites:
+        blob[position % len(blob)] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "metrics.csv"
+        path.write_bytes(blob)
+        try:
+            loaded = read_metrics_csv(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+        else:
+            assert all(isinstance(r, MetricsRow) and isinstance(r.index, int) for r in loaded)
+            assert all(isinstance(getattr(r, k), float) for r in loaded for k in CSV_HEADER[1:])
 
 
 def test_summary_single_row_equals_row():

@@ -1,7 +1,7 @@
 import struct
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lora_param_names, mean
+from conftest import CONFIG16, lora_param_names, mean
 from fdcheck import assert_grads_close, numeric_grad
 from ttaseg import sbct
 from ttaseg.model import ModelConfig, SegModel, _header, load_checkpoint, save_checkpoint, tokens_to_grid
@@ -29,28 +29,26 @@ def _box(config):
 def test_config_validation():
     with pytest.raises(ValueError, match="divisible"):
         ModelConfig(image_size=60)
-    with pytest.raises(ValueError, match="lora_targets"):
-        ModelConfig(lora_targets="xz")
     with pytest.raises(ValueError, match="attention_heads"):
         ModelConfig(embed_dim=30)
 
 
-@pytest.mark.parametrize("field", ["image_size", "embed_dim", "attention_heads", "lora_rank"])
+@pytest.mark.parametrize("field", ["image_size", "embed_dim", "attention_heads"])
 @pytest.mark.parametrize("value", [0, -8])
 def test_config_rejects_a_non_positive_size_by_name(field, value):
     with pytest.raises(ValueError, match=f"ModelConfig: {field} must be positive"):
         ModelConfig(**{field: value})
 
 
-def test_config_rejects_zero_sizes_that_divide():
-    with pytest.raises(ValueError, match="image_size must be positive"):
-        ModelConfig(image_size=0)
-    assert SegModel.build(ModelConfig(encoder_blocks=0), 0).params
-
-
-def test_config_rejects_a_negative_encoder_block_count_by_name():
-    with pytest.raises(ValueError, match="ModelConfig: encoder_blocks must not be negative"):
-        ModelConfig(encoder_blocks=-1)
+def test_config_fixes_the_depth_and_the_adapters():
+    """The depth, the adapter rank and the adapted projections are constants,
+    as the patch size is: they read, and passing one is a TypeError."""
+    config = ModelConfig()
+    assert [f.name for f in fields(config)] == ["image_size", "embed_dim", "attention_heads"]
+    assert (config.encoder_blocks, config.lora_rank, config.lora_targets, config.patch_size) == (2, 4, "qv", 8)
+    for name, value in [("encoder_blocks", 2), ("lora_rank", 4), ("lora_targets", "qv")]:
+        with pytest.raises(TypeError, match=name):
+            ModelConfig(**{name: value})
 
 
 def test_encode_token_shape(model64):
@@ -104,17 +102,6 @@ def test_lora_double_attach_rejected(model64):
     model64.attach_lora(seed=0)
     with pytest.raises(ValueError, match="already"):
         model64.attach_lora(seed=0)
-
-
-def test_lora_targets_config_switch(tmp_path):
-    wide = SegModel.build(ModelConfig(lora_targets="qkvo"), seed=4)
-    wide.attach_lora(seed=4)
-    names = {n for n in wide.params if ".lora_" in n}
-    assert len(names) == wide.config.encoder_blocks * 4 * 2
-    assert "enc0.attn.k.lora_a" in names and "enc1.attn.o.lora_b" in names
-    # the switch survives the checkpoint round trip
-    save_checkpoint(wide, tmp_path / "w.ckpt")
-    assert load_checkpoint(tmp_path / "w.ckpt").config.lora_targets == "qkvo"
 
 
 def test_prompt_encoding_deterministic_and_box_sensitive(model64):
@@ -436,6 +423,43 @@ def test_lora_checkpoint_byte_overwrites_load_identically_or_fail_naming_the_pat
     assert loaded_count >= 2 * 8 * model16.params[lora].data.size
 
 
+@given(lora=st.booleans(),
+       values=st.dictionaries(st.sampled_from(sorted(_header(CONFIG16, False))),
+                              st.sampled_from([0, 1, 2**31, 2**32 - 1]), max_size=3),
+       overwrites=st.lists(st.tuples(st.one_of(st.integers(0, 300), st.integers(0, 10**6)), st.integers(0, 255)),
+                           max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_a_mangled_checkpoint_loads_identically_or_fails_naming_the_path(lora, values, overwrites):
+    """A CONFIG16 checkpoint, base or adapted, with header fields set to 0, 1,
+    2**31 or 2**32 - 1 and bytes overwritten anywhere (most often in the
+    header): it loads and saves back to the same bytes, or raises a
+    ValueError that names it, and never holds much more than its size."""
+    model = SegModel.build(CONFIG16, seed=3)
+    if lora:
+        model.attach_lora(seed=5)
+    header = dict(_header(CONFIG16, lora), **values)
+    blob = bytearray(_hand_built_checkpoint(model, sorted(header.items())))
+    for position, value in overwrites:
+        blob[position % len(blob)] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path, resaved = Path(tmp) / "m.ckpt", Path(tmp) / "resaved.ckpt"
+        path.write_bytes(blob)
+        loaded = None
+        tracemalloc.start()
+        try:
+            try:
+                loaded = load_checkpoint(path)
+            except ValueError as exc:
+                assert str(path) in str(exc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if loaded is not None:
+            save_checkpoint(loaded, resaved)
+            assert resaved.read_bytes() == blob
+    assert peak < 16 * len(blob) + 2**16
+
+
 def test_checkpoint_loads_without_drawing_random_numbers(model16, tmp_path, monkeypatch):
     base, adapted = tmp_path / "base.ckpt", tmp_path / "adapted.ckpt"
     save_checkpoint(model16, base)
@@ -454,12 +478,15 @@ def test_checkpoint_loads_without_drawing_random_numbers(model16, tmp_path, monk
 
 
 def test_header_only_checkpoint_of_a_large_model_allocates_little(model16, tmp_path):
-    """The header alone sizes nothing: a file that claims a 2048-pixel model,
-    or 4,294,967,295 encoder blocks, and stores no tensor is rejected before
-    any weight or any tensor table is allocated."""
+    """The header alone sizes nothing: a file that claims a 2048-pixel model
+    and stores no tensor is rejected before any weight is allocated, and one
+    that claims 4,294,967,295 encoder blocks is rejected by its header."""
     path = tmp_path / "m.ckpt"
-    for change, tensors in [({"image_size": 2048}, 90), ({"encoder_blocks": 2**32 - 1}, 58 + 16 * (2**32 - 1))]:
-        header = _header(replace(model16.config, **change), False)
+    for header, message in [
+        (_header(replace(model16.config, image_size=2048), False), "truncated, 0 bytes left cannot hold 90 tensors"),
+        (dict(_header(model16.config, False), encoder_blocks=2**32 - 1),
+         "header field 'encoder_blocks' stores 4294967295, expected 2"),
+    ]:
         path.write_bytes(_hand_built_checkpoint(model16, sorted(header.items()), names=[]))
         assert path.stat().st_size == 206
         tracemalloc.start()
@@ -469,22 +496,35 @@ def test_header_only_checkpoint_of_a_large_model_allocates_little(model16, tmp_p
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert str(excinfo.value) == f"checkpoint {path}: truncated, 0 bytes left cannot hold {tensors} tensors"
+        assert str(excinfo.value) == f"checkpoint {path}: {message}"
         assert peak < 2**20
 
 
-@pytest.mark.parametrize("mask, message", [
-    (0, "ModelConfig: lora_targets must be a nonempty subset of 'qkvo'"),
-    (16, "ModelConfig: lora_targets must be a nonempty subset of 'qkvo'"),
-    (69, "header field 'lora_targets' stores 69, expected 5"),
-], ids=["0", "16", "69"])
-def test_checkpoint_rejects_lora_targets_outside_bitmask(model16, tmp_path, mask, message):
+@pytest.mark.parametrize("mask", [0, 16, 69], ids=["0", "16", "69"])
+def test_checkpoint_rejects_lora_targets_outside_bitmask(model16, tmp_path, mask):
     header = dict(_header(model16.config, False), lora_targets=mask)
     path = tmp_path / "m.ckpt"
     path.write_bytes(_hand_built_checkpoint(model16, sorted(header.items())))
     with pytest.raises(ValueError) as excinfo:
         load_checkpoint(path)
-    assert str(excinfo.value) == f"checkpoint {path}: {message}"
+    assert str(excinfo.value) == f"checkpoint {path}: header field 'lora_targets' stores {mask}, expected 5"
+
+
+@pytest.mark.parametrize("field, value, expected", [
+    ("encoder_blocks", 0, 2), ("encoder_blocks", 3, 2), ("lora_rank", 1, 4), ("lora_rank", 8, 4),
+])
+def test_checkpoint_rejects_another_depth_or_rank_by_name(model16, tmp_path, field, value, expected):
+    """The depth and the adapter rank are constants: a checkpoint that stores
+    another is rejected by the header rule, with or without adapters."""
+    for has_lora in (False, True):
+        if has_lora:
+            model16.attach_lora(seed=2)
+        header = dict(_header(model16.config, has_lora), **{field: value})
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(_hand_built_checkpoint(model16, sorted(header.items())))
+        with pytest.raises(ValueError) as excinfo:
+            load_checkpoint(path)
+        assert str(excinfo.value) == f"checkpoint {path}: header field {field!r} stores {value}, expected {expected}"
 
 
 def test_checkpoint_rejects_unknown_tensor(model16, tmp_path):
@@ -506,13 +546,10 @@ def test_checkpoint_rejects_missing_tensor(model16, tmp_path):
 
 
 @given(grid=st.integers(1, 3), heads=st.sampled_from([1, 2, 4]), head_dim=st.integers(1, 4),
-       blocks=st.integers(0, 2), rank=st.integers(1, 4),
-       targets=st.lists(st.sampled_from("qkvo"), min_size=1, max_size=4, unique=True),
        lora=st.booleans(), seed=st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
-def test_checkpoint_save_load_save_bytes_identical(grid, heads, head_dim, blocks, rank, targets, lora, seed):
-    config = ModelConfig(image_size=8 * grid, embed_dim=heads * head_dim, encoder_blocks=blocks,
-                         attention_heads=heads, lora_rank=rank, lora_targets="".join(targets))
+def test_checkpoint_save_load_save_bytes_identical(grid, heads, head_dim, lora, seed):
+    config = ModelConfig(image_size=8 * grid, embed_dim=heads * head_dim, attention_heads=heads)
     model = SegModel.build(config, seed=seed)
     if lora:
         model.attach_lora(seed=seed)
@@ -525,9 +562,8 @@ def test_checkpoint_save_load_save_bytes_identical(grid, heads, head_dim, blocks
         loaded = load_checkpoint(first)
         save_checkpoint(loaded, second)
         assert second.read_bytes() == first.read_bytes()
-    # the targets come back in the bitmask's canonical q, k, v, o order
-    assert loaded.config == replace(config, lora_targets="".join(t for t in "qkvo" if t in targets))
-    assert loaded.has_lora == (lora and blocks > 0)
+    assert loaded.config == config
+    assert loaded.has_lora == lora
 
 
 def test_config16_shapes(model16):
