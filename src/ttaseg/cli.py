@@ -26,15 +26,6 @@ from . import __version__, adapt, metrics, pretrain, synthdata
 from .model import load_checkpoint
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit code 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 def _versions() -> dict:
     return {
         "ttaseg": __version__,
@@ -186,17 +177,20 @@ def _cmd_eval(args) -> int:
     def body():
         pairs = synthdata.load_manifest(args.manifest)
         pred_dir = Path(args.pred)
-        carried = {}
+        carried = []
         source_csv = pred_dir / "metrics.csv"
         if source_csv.exists():
-            carried = {r.index: r for r in metrics.read_metrics_csv(source_csv)}
+            carried = metrics.read_metrics_csv(source_csv)
+            if [r.index for r in carried] != list(range(len(pairs))):
+                raise ValueError(f"metrics csv {source_csv}: expected one row per image of {args.manifest}, "
+                                 f"indexed 0 to {len(pairs) - 1} in order")
         rows = []
         sentinels = []
         for i, (_, mask_path) in enumerate(pairs):
             gt = synthdata.read_mask(mask_path)
             sentinels.append(metrics.hd95_sentinel(gt.shape))
             pred = synthdata.read_mask(pred_dir / f"pred_{i:05d}.pgm", mask_path, gt.shape)
-            prev = carried.get(i)
+            prev = carried[i] if carried else None
             logged = (prev.pred_iou, prev.l_icm, prev.l_dpc, prev.l_ifc, prev.lambda_dpc) if prev else ()
             rows.append(metrics.score_row(i, pred, gt, *logged))
         metrics.write_metrics_csv(rows, out)
@@ -238,11 +232,11 @@ def _cmd_calibrate(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def build_parser() -> _Parser:
+def build_parser() -> argparse.ArgumentParser:
     """The one table of subcommands: each subparser carries its handler.
     ``parser.commands`` names them."""
-    parser = _Parser(prog="ttaseg", description=__doc__)
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    parser = argparse.ArgumentParser(prog="ttaseg", description=__doc__)
+    sub = parser.add_subparsers(dest="command")
 
     def command(name, handler, help):
         p = sub.add_parser(name, help=help)
@@ -300,8 +294,8 @@ def main(argv=None) -> int:
         return 1
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, which is exit 1 here
+        return 1 if exc.code == 2 else int(exc.code or 0)
     if args.command is None:
         parser.print_help()
         return 0

@@ -424,12 +424,14 @@ def load_checkpoint(path) -> SegModel:
     params = {}
     for _ in range(count):
         name = reader.name()
-        rank = reader.u32()
-        dims = tuple(reader.u32() for _ in range(rank))
         if name not in expected:
             raise ValueError(f"checkpoint {path}: unexpected tensor {name!r}")
         if name in params:
             raise ValueError(f"checkpoint {path}: tensor {name!r} stored twice")
+        rank = reader.u32()
+        if rank != len(expected[name]):
+            raise ValueError(f"checkpoint {path}: tensor {name!r} has rank {rank}, expected {len(expected[name])}")
+        dims = tuple(reader.u32() for _ in range(rank))
         if dims != expected[name]:
             raise ValueError(f"checkpoint {path}: tensor {name!r} has shape {dims}, expected {expected[name]}")
         payload = reader.take(8 * int(np.prod(dims, dtype=np.int64)))

@@ -54,40 +54,22 @@ def in_unit_range(x: np.ndarray) -> bool:
     return not x.size or bool(x.min() >= 0.0 and x.max() <= 1.0)
 
 
-def _check_unit_range(x: np.ndarray, what: str):
-    if not in_unit_range(x):
-        raise ValueError(f"{what}: values must lie in [0, 1], got range [{x.min():.6g}, {x.max():.6g}]")
-
-
-def transform_gray(x: np.ndarray, u: Tensor) -> Tensor:
-    """Remap a single-channel image into three channels, one curve each.
-
-    Output channel c at (h, w) is the c-th curve evaluated at x[h, w].
-    Gradient flows into the 12 curve scalars.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"transform_gray: expected an HxW image, got shape {x.shape}")
-    _check_unit_range(x, "transform_gray: input")
-    basis = Tensor(_bernstein_rows(x))  # (4, H*W), constant
-    out = heights(u) @ basis  # (3, H*W)
-    return out.reshape(N_CHANNELS, *x.shape)
-
-
-def transform_color(x: np.ndarray, u: Tensor) -> Tensor:
-    """Remap a three-channel image, channel c through its own curve."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[0] != N_CHANNELS:
-        raise ValueError(f"transform_color: expected a 3xHxW image, got shape {x.shape}")
-    _check_unit_range(x, "transform_color: input")
-    h, w = x.shape[1:]
-    basis = np.stack([_bernstein_rows(x[c]) for c in range(N_CHANNELS)])  # (3, 4, H*W)
-    out = (heights(u).reshape(N_CHANNELS, N_POINTS, 1) * Tensor(basis)).sum(axis=1)
-    return out.reshape(N_CHANNELS, h, w)
-
-
 def transform(x: np.ndarray, u: Tensor) -> Tensor:
-    return transform_gray(x, u) if np.asarray(x).ndim == 2 else transform_color(x, u)
+    """Remap an image into three channels: channel c is curve c applied to an
+    HxW image, or to channel c of a 3xHxW one. Gradient flows into the 12
+    curve scalars."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 and (x.ndim != 3 or x.shape[0] != N_CHANNELS):
+        raise ValueError(f"sbct.transform: expected an HxW or a 3xHxW image, got shape {x.shape}")
+    if not in_unit_range(x):
+        raise ValueError(f"sbct.transform: values must lie in [0, 1], got range [{x.min():.6g}, {x.max():.6g}]")
+    if x.ndim == 2:
+        basis = Tensor(_bernstein_rows(x))  # (4, H*W), constant
+        out = heights(u) @ basis  # (3, H*W)
+    else:
+        basis = np.stack([_bernstein_rows(x[c]) for c in range(N_CHANNELS)])  # (3, 4, H*W)
+        out = (heights(u).reshape(N_CHANNELS, N_POINTS, 1) * Tensor(basis)).sum(axis=1)
+    return out.reshape(N_CHANNELS, *x.shape[-2:])
 
 
 def curve_samples(u: Tensor) -> np.ndarray:
@@ -95,6 +77,6 @@ def curve_samples(u: Tensor) -> np.ndarray:
     n = CURVE_SAMPLES
     t = np.linspace(0.0, 1.0, n)
     with no_grad():
-        values = transform_gray(t.reshape(1, n), u).data.reshape(N_CHANNELS, n)
+        values = transform(t.reshape(1, n), u).data.reshape(N_CHANNELS, n)
     return np.column_stack([t, values.T])
 

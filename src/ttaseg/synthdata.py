@@ -6,10 +6,10 @@ degraded by an intensity nonlinearity t -> t**gamma, boundary blur and
 additive noise. Geometry and appearance draws are shared across profiles
 so the same (seed, index) denotes the same underlying scene everywhere.
 
-A sample is made in three steps, each pure in (seed, index):
-``sample_spec`` draws the appearance (kind, colours, texture amplitude) and
-the profile's shift (gamma, blur); ``draw_scene`` draws the geometry (the
-7x7 texture cells, the object mask, the shade) into a ``Scene`` of about
+A sample is made in two steps, each pure in (seed, index): ``draw_scene``
+makes every draw of the scene but its noise, the appearance (kind, colours,
+texture amplitude), the profile's shift (gamma, blur) and the geometry (the
+7x7 texture cells, the object mask, the shade), into a ``Scene`` of about
 4.5 KiB; ``paint`` turns a scene into its 96 KiB (colour) or 32 KiB (gray)
 ``StreamSample``, whose only draw is the degradation noise. A caller that
 revisits scenes, as pretraining does each epoch, keeps the scenes and
@@ -93,54 +93,8 @@ class StreamSample:
     box: BoxPrompt | None
 
 
-@dataclass(frozen=True)
-class SceneSpec:
-    """Everything needed to render one scene deterministically."""
-
-    stream_seed: int
-    index: int
-    kind: str
-    bg_color: tuple
-    obj_color: tuple
-    texture_amp: float
-    gamma: float
-    blur_sigma: float
-    noise_sigma: float
-    grayscale: bool
-
-
 def _rng(*key) -> np.random.Generator:
     return np.random.default_rng(list(key))
-
-
-def sample_spec(seed: int, index: int, profile: ShiftProfile) -> SceneSpec:
-    g = _rng(seed, index, _TAG_APPEARANCE)
-    kind = KINDS[int(g.integers(len(KINDS)))]
-    bg = g.uniform(0.15, 0.85, 3)
-    # redraw until the object is visible in luminance too; hard (low-contrast)
-    # scenes stay in the mix because 0.1 is a weak floor
-    for _ in range(20):
-        sign = np.where(g.uniform(size=3) < 0.5, -1.0, 1.0)
-        sep = g.uniform(0.15, 0.55, 3)
-        obj = np.clip(bg + sign * sep, 0.02, 0.98)
-        if abs(float(_LUMA @ obj) - float(_LUMA @ bg)) >= 0.1:
-            break
-    tex = float(g.uniform(0.02, 0.12))
-    s = _rng(seed, index, _TAG_SHIFT)
-    gamma = float(s.uniform(*profile.gamma_range))
-    blur = float(s.uniform(*profile.blur_range))
-    return SceneSpec(
-        stream_seed=seed,
-        index=index,
-        kind=kind,
-        bg_color=tuple(bg),
-        obj_color=tuple(obj),
-        texture_amp=tex,
-        gamma=gamma,
-        blur_sigma=blur,
-        noise_sigma=profile.noise_sigma,
-        grayscale=profile.grayscale,
-    )
 
 
 def _smooth_field(coarse: np.ndarray) -> np.ndarray:
@@ -168,17 +122,17 @@ def _blob(rng: np.random.Generator, center, r0: float) -> np.ndarray:
     return _polar_mask(center, radius)
 
 
-def _draw_mask(rng: np.random.Generator, spec: SceneSpec) -> np.ndarray:
+def _draw_mask(rng: np.random.Generator, kind: str) -> np.ndarray:
     while True:
         center = rng.uniform(CANVAS * 0.3, CANVAS * 0.7, 2)
-        if spec.kind == "ellipse":
+        if kind == "ellipse":
             a, b = rng.uniform(6.0, 18.0, 2)
             theta = rng.uniform(0.0, np.pi)
             dy, dx = _YY - center[0], _XX - center[1]
             u = (dx * np.cos(theta) + dy * np.sin(theta)) / a
             v = (-dx * np.sin(theta) + dy * np.cos(theta)) / b
             mask = u * u + v * v <= 1.0
-        elif spec.kind == "blob":
+        elif kind == "blob":
             mask = _blob(rng, center, rng.uniform(7.0, 16.0))
         else:  # lesion: blob plus an overlapping satellite
             r0 = rng.uniform(7.0, 14.0)
@@ -191,40 +145,67 @@ def _draw_mask(rng: np.random.Generator, spec: SceneSpec) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Scene:
-    """What is drawn of one scene: its spec, the 7x7 texture cells, the
-    object mask, the radial shade and the mask's oracle box, about 4.5 KiB.
-    The arrays are read-only, so one scene can be painted many times."""
+    """Everything drawn of one scene: its appearance, its profile's shift,
+    the 7x7 texture cells, the object mask, the radial shade and the mask's
+    oracle box, about 4.5 KiB. The arrays are read-only, so one scene can be
+    painted many times."""
 
-    spec: SceneSpec
+    stream_seed: int
+    index: int
+    kind: str
+    bg_color: tuple
+    obj_color: tuple
+    texture_amp: float
+    gamma: float
+    blur_sigma: float
+    noise_sigma: float
+    grayscale: bool
     cells: np.ndarray  # (7, 7) coarse texture noise in [-1, 1]
     mask: np.ndarray  # (S, S) bool
     shade: float
     box: BoxPrompt
 
 
-def draw_scene(spec: SceneSpec) -> Scene:
-    """Make the scene's geometry draws, in order: texture cells, mask, shade."""
-    rng = _rng(spec.stream_seed, spec.index, _TAG_GEOMETRY)
+def draw_scene(seed: int, index: int, profile: ShiftProfile) -> Scene:
+    """Make the scene's draws, each from its own generator: the appearance,
+    the shift, then the geometry (texture cells, mask, shade)."""
+    g = _rng(seed, index, _TAG_APPEARANCE)
+    kind = KINDS[int(g.integers(len(KINDS)))]
+    bg = g.uniform(0.15, 0.85, 3)
+    # redraw until the object is visible in luminance too; hard (low-contrast)
+    # scenes stay in the mix because 0.1 is a weak floor
+    for _ in range(20):
+        sign = np.where(g.uniform(size=3) < 0.5, -1.0, 1.0)
+        sep = g.uniform(0.15, 0.55, 3)
+        obj = np.clip(bg + sign * sep, 0.02, 0.98)
+        if abs(float(_LUMA @ obj) - float(_LUMA @ bg)) >= 0.1:
+            break
+    tex = float(g.uniform(0.02, 0.12))
+    s = _rng(seed, index, _TAG_SHIFT)
+    gamma = float(s.uniform(*profile.gamma_range))
+    blur = float(s.uniform(*profile.blur_range))
+    rng = _rng(seed, index, _TAG_GEOMETRY)
     cells = rng.uniform(-1.0, 1.0, (7, 7))
-    mask = _draw_mask(rng, spec)
+    mask = _draw_mask(rng, kind)
     shade = rng.uniform(0.0, 0.3)
     cells.flags.writeable = mask.flags.writeable = False
-    return Scene(spec, cells, mask, shade, oracle_box(mask))
+    return Scene(seed, index, kind, tuple(bg), tuple(obj), tex, gamma, blur, profile.noise_sigma,
+                 profile.grayscale, cells, mask, shade, oracle_box(mask))
 
 
 def paint(scene: Scene) -> StreamSample:
-    """Render a drawn scene in colour and degrade it by its spec; the noise
-    of ``degrade`` is the only random draw."""
-    spec, mask = scene.spec, scene.mask
+    """Render a drawn scene in colour and degrade it by its shift; the
+    noise of ``degrade`` is the only random draw."""
+    mask = scene.mask
     field = _smooth_field(scene.cells)
     ys, xs = np.nonzero(mask)
     d = np.hypot(_YY - ys.mean(), _XX - xs.mean())
     radial = 1.0 - scene.shade * d / max(d[mask].max(), 1.0)
     img = np.empty((3, CANVAS, CANVAS))
     for c in range(3):
-        img[c] = spec.bg_color[c] + spec.texture_amp * field
-        img[c][mask] = (spec.obj_color[c] * radial)[mask]
-    return StreamSample(degrade(np.clip(img, 0.0, 1.0), spec), mask, scene.box)
+        img[c] = scene.bg_color[c] + scene.texture_amp * field
+        img[c][mask] = (scene.obj_color[c] * radial)[mask]
+    return StreamSample(degrade(np.clip(img, 0.0, 1.0), scene), mask, scene.box)
 
 
 def _gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
@@ -249,18 +230,18 @@ def _gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-def degrade(image: np.ndarray, spec: SceneSpec) -> np.ndarray:
+def degrade(image: np.ndarray, scene: Scene) -> np.ndarray:
     """Apply the shift recipe: grayscale, gamma, blur (of the gray plane:
     no colour profile blurs), then noise."""
-    out = _LUMA @ image.reshape(3, -1) if spec.grayscale else image
-    out = out.reshape((CANVAS, CANVAS) if spec.grayscale else image.shape)
-    if spec.gamma != 1.0:
-        out = out ** spec.gamma
-    if spec.blur_sigma > 0:
-        out = _gaussian_blur(out, spec.blur_sigma)
-    if spec.noise_sigma > 0:
-        noise = _rng(spec.stream_seed, spec.index, _TAG_NOISE).standard_normal(out.shape)
-        out = out + spec.noise_sigma * noise
+    out = _LUMA @ image.reshape(3, -1) if scene.grayscale else image
+    out = out.reshape((CANVAS, CANVAS) if scene.grayscale else image.shape)
+    if scene.gamma != 1.0:
+        out = out ** scene.gamma
+    if scene.blur_sigma > 0:
+        out = _gaussian_blur(out, scene.blur_sigma)
+    if scene.noise_sigma > 0:
+        noise = _rng(scene.stream_seed, scene.index, _TAG_NOISE).standard_normal(out.shape)
+        out = out + scene.noise_sigma * noise
     return np.clip(out, 0.0, 1.0)
 
 
@@ -270,7 +251,7 @@ def scenes(seed: int, n: int, profile: str):
     if profile not in PROFILES:
         raise ValueError(f"unknown shift profile {profile!r}; known: {sorted(PROFILES)}")
     prof = PROFILES[profile]
-    return (draw_scene(sample_spec(seed, i, prof)) for i in range(n))
+    return (draw_scene(seed, i, prof) for i in range(n))
 
 
 def gen_target(seed: int, n: int, profile: str) -> list:

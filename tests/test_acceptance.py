@@ -73,8 +73,8 @@ def test_c01_gradient_correctness_full_path():
     box = synthdata.BoxPrompt(3.0, 3.0, 13.0, 13.0)
 
     with no_grad():
-        t_out = teacher.forward(sbct.transform_gray(image, curve), box)
-    base = model.forward(sbct.transform_gray(image, curve), box)
+        t_out = teacher.forward(sbct.transform(image, curve), box)
+    base = model.forward(sbct.transform(image, curve), box)
     s0 = float(base.s_iou.data)  # temperature and weight frozen at the base point
     rm = losses.RunningMax()
     rm.update(min(s0 + 0.2, 0.99))
@@ -82,7 +82,7 @@ def test_c01_gradient_correctness_full_path():
     lam = losses.lambda_dpc(s0, rm)
 
     def forward_losses():
-        out = model.forward(sbct.transform_gray(image, curve), box)
+        out = model.forward(sbct.transform(image, curve), box)
         icm = losses.l_icm(out.s_iou)
         dpc = losses.l_dpc(out, t_out)
         ifc = losses.l_ifc(tokens_to_grid(out.z), tokens_to_grid(t_out.z), s0)
@@ -155,7 +155,7 @@ def test_c04_oracle_equivalence():
 
     u = Tensor(rng.normal(0, 1.5, (3, 4)))
     image = rng.uniform(0, 1, (8, 8))
-    out = sbct.transform_gray(image, u).data
+    out = sbct.transform(image, u).data
     heights = _stable_sigmoid(u.data)
     worst = 0.0
     for c in range(3):

@@ -1,5 +1,5 @@
 """``scripts/bench.py``: the order of a pair's runs, and ``compare``'s
-pairing by seed, counts and verdicts."""
+pairing by seed, counts and verdicts; ``scripts/count_lines.py``'s counts."""
 
 import importlib.util
 
@@ -7,9 +7,16 @@ import pytest
 
 from conftest import REPO_ROOT
 
-_spec = importlib.util.spec_from_file_location("bench", REPO_ROOT / "scripts" / "bench.py")
-bench = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench)
+
+def _script(name: str):
+    spec = importlib.util.spec_from_file_location(name, REPO_ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench = _script("bench")
+count_lines = _script("count_lines")
 
 
 def _line(lines, workload, metric):
@@ -58,3 +65,34 @@ def test_record_alternates_the_first_tree_seed_by_seed(tmp_path, monkeypatch, tr
         for trace in traces:
             firsts = [next(o[0] for o in order if o[1:] == (workload, seed, trace)) for seed in (1, 2, 3, 4)]
             assert sorted(firsts) == ["base", "base", "change", "change"], (workload, trace, firsts)
+
+
+_COUNTED = '''"""A module docstring
+over two lines."""
+
+# a comment
+X = 1  # a comment after code
+
+
+class C:
+    """A class docstring."""
+
+    y = 2
+
+
+def f():
+    """A function docstring,
+    over two lines."""
+    return """a multi-line
+string that is not a docstring"""
+'''
+
+
+def test_count_lines_counts_code_outside_comments_blanks_and_docstrings(tmp_path, capsys, monkeypatch):
+    """18 lines; code is ``X = 1``, ``class C:``, ``y = 2``, ``def f():``
+    and both lines of the returned string."""
+    assert count_lines.count(_COUNTED) == (18, 6)
+    (tmp_path / "m.py").write_text(_COUNTED)
+    monkeypatch.setattr(count_lines, "PACKAGE", tmp_path)
+    assert count_lines.main() == 0
+    assert capsys.readouterr().out == "m.py 18 6\ntotal 18 6\n"

@@ -9,7 +9,7 @@ import pytest
 
 from ttaseg import netpbm
 from ttaseg.cli import main
-from ttaseg.metrics import CSV_HEADER, hd95_sentinel, read_metrics_csv
+from ttaseg.metrics import CSV_HEADER, MetricsRow, hd95_sentinel, read_metrics_csv, write_metrics_csv
 from ttaseg.model import ModelConfig, SegModel, save_checkpoint
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -39,6 +39,8 @@ def test_unknown_subcommand_suggests(capsys):
 
 def test_unknown_flag_rejected(capsys):
     assert run("gen", "--profile", "source", "--n", "1", "--out", "x", "--bogus") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ttaseg [-h] ") and err.endswith("\nttaseg: error: unrecognized arguments: --bogus\n")
 
 
 def test_missing_required_flag_is_usage_error(tmp_path):
@@ -316,17 +318,22 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert out.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0]", "[]"], out.stderr
 
 
-def _eval_error(tmp_path, damage) -> str:
-    """``eval``'s error on a 2-image dataset whose predictions are its masks,
-    after ``damage(data, pred)``; ``eval`` must exit 2."""
+def _eval(tmp_path, damage) -> int:
+    """``eval``'s exit status on a 2-image dataset whose predictions are its
+    masks, after ``damage(data, pred)``; it scores into ``scored.csv``."""
     data, pred = tmp_path / "data", tmp_path / "pred"
     assert run("gen", "--profile", "ct-like", "--n", "2", "--out", str(data)) == 0
     pred.mkdir()
     for i in range(2):
         netpbm.write_pgm(pred / f"pred_{i:05d}.pgm", netpbm.read_pnm(data / f"mask_{i:05d}.pgm") > 0.5)
     damage(data, pred)
-    out = tmp_path / "scored.csv"
-    assert run("eval", "--pred", str(pred), "--manifest", str(data / "manifest.csv"), "--out", str(out)) == 2
+    return run("eval", "--pred", str(pred), "--manifest", str(data / "manifest.csv"),
+               "--out", str(tmp_path / "scored.csv"))
+
+
+def _eval_error(tmp_path, damage) -> str:
+    """``_eval``'s error; ``eval`` must exit 2."""
+    assert _eval(tmp_path, damage) == 2
     return json.loads((tmp_path / "scored.csv.run.json").read_text())["error"]
 
 
@@ -358,6 +365,29 @@ def test_eval_rejects_a_malformed_metrics_file_naming_it(tmp_path):
 
     error = _eval_error(tmp_path, bad_metrics)
     assert f"metrics csv {tmp_path / 'pred' / 'metrics.csv'}: row 0 must hold the 9 fields" in error
+
+
+@pytest.mark.parametrize("indices", [[0, 0, 1], [0, 1, 7], [1], [1, 0]],
+                         ids=["duplicated", "beyond-the-stream", "missing", "out-of-order"])
+def test_eval_rejects_a_metrics_file_that_is_not_one_row_per_image_in_order(tmp_path, indices):
+    """The logged columns ``eval`` carries are those of one row per image,
+    indexed 0 to n - 1 in order; any other ``metrics.csv`` ends ``eval``
+    with exit 2 and an error naming the file and the manifest."""
+    def reindexed_metrics(data, pred):
+        rows = [MetricsRow(i, *[0.5] * (len(CSV_HEADER) - 1)) for i in indices]
+        write_metrics_csv(rows, pred / "metrics.csv")
+
+    error = _eval_error(tmp_path, reindexed_metrics)
+    assert error == (f"ValueError: metrics csv {tmp_path / 'pred' / 'metrics.csv'}: expected one row per "
+                     f"image of {tmp_path / 'data' / 'manifest.csv'}, indexed 0 to 1 in order")
+
+
+def test_eval_without_a_metrics_file_logs_nan_columns(tmp_path):
+    """With no ``metrics.csv`` to carry, every logged column is ``nan``."""
+    assert _eval(tmp_path, lambda data, pred: None) == 0
+    rows = read_metrics_csv(tmp_path / "scored.csv")
+    assert [r.index for r in rows] == [0, 1] and all(r.dice == 1.0 for r in rows)
+    assert all(np.isnan(r.pred_iou) and np.isnan(r.lambda_dpc) for r in rows)
 
 
 def test_eval_missing_prediction_is_runtime_error(tmp_path):

@@ -35,7 +35,6 @@ def test_package_imports_only_numpy_and_the_standard_library():
 # package definitions that no module of the package refers to, each with
 # the reason it stays; anything else that only tests call belongs in tests
 UNREFERENCED = {
-    "cli._Parser.error": "argparse calls it",
     "synthdata.gen_source": "perfbench's tracer wraps it by name, and scripts call it",
 }
 

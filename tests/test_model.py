@@ -152,7 +152,7 @@ def test_clone_shares_no_storage(model64):
 def test_gradient_reaches_curve_scalars_through_forward(model16):
     u = sbct.init_identity()
     x = np.random.default_rng(3).uniform(0, 1, (16, 16))
-    out = model16.forward(sbct.transform_gray(x, u), _box(model16.config))
+    out = model16.forward(sbct.transform(x, u), _box(model16.config))
     (1.0 - out.s_iou).backward()
     assert u.grad is not None
     assert np.linalg.norm(u.grad) > 0.0
@@ -398,6 +398,29 @@ def _overwrite_sweep(model, tmp_path, offsets) -> int:
     return loaded_count
 
 
+def test_checkpoint_rejects_a_stored_rank_before_reading_its_dims(model16, tmp_path):
+    """A first tensor record whose rank reads 9,165 is refused by its name,
+    its stored rank and the table's, before any dim is read: a short message,
+    and little memory held beyond the file."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model16, path)
+    blob = bytearray(path.read_bytes())
+    first = sorted(model16.params)[0]
+    at = _record_span(model16, blob, first).start + 4 + len(first)
+    blob[at:at + 4] = struct.pack("<I", 9165)
+    path.write_bytes(bytes(blob))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as excinfo:
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rank = model16.params[first].data.ndim
+    assert str(excinfo.value) == f"checkpoint {path}: tensor {first!r} has rank 9165, expected {rank}"
+    assert peak < 2 * len(blob) + 2**16
+
+
 def test_checkpoint_byte_overwrites_load_identically_or_fail_naming_the_path(model16, tmp_path):
     """Each byte of the header and the first tensor record, set to 0x00 and
     then to 0xff: the file either loads and saves back to the same bytes, or
@@ -586,7 +609,7 @@ def test_full_path_gradcheck_small(model16):
     box = _box(model16.config)
 
     def loss_tensor():
-        out = model16.forward(sbct.transform_gray(x, u), box)
+        out = model16.forward(sbct.transform(x, u), box)
         return (1.0 - out.s_iou) + mean(out.m_high.sigmoid())
 
     loss_tensor().backward()

@@ -8,7 +8,7 @@ from fdcheck import assert_grads_close, numeric_grad
 from ttaseg import netpbm, sbct
 from ttaseg.adapt import AdaptConfig, AdaptEngine
 from ttaseg.model import ModelConfig, SegModel
-from ttaseg.sbct import curve_samples, heights, init_identity, transform, transform_color, transform_gray
+from ttaseg.sbct import curve_samples, heights, init_identity, transform
 from ttaseg.tensor import Tensor, _stable_sigmoid, no_grad
 
 
@@ -42,31 +42,31 @@ def fixed_heights(monkeypatch):
 
 
 def test_curve_starts_at_first_control_height(fixed_heights):
-    out = transform_gray(np.array([[0.0, 1.0]]), fixed_heights([0.2, 0.5, 0.5, 0.9])).data
+    out = transform(np.array([[0.0, 1.0]]), fixed_heights([0.2, 0.5, 0.5, 0.9])).data
     assert np.all(out[:, 0, 0] == 0.2)
     assert np.all(out[:, 0, 1] == 0.9)
 
 
 def test_curve_linear_precision(fixed_heights):
     t = np.linspace(0.0, 1.0, 33)
-    out = transform_gray(t.reshape(1, -1), fixed_heights([0.0, 1 / 3, 2 / 3, 1.0]))
+    out = transform(t.reshape(1, -1), fixed_heights([0.0, 1 / 3, 2 / 3, 1.0]))
     assert np.allclose(out.data, t.reshape(1, 1, -1), atol=1e-15)
 
 
 def test_curve_point_symmetry_case(fixed_heights):
-    out = transform_gray(np.array([[0.5]]), fixed_heights([0.0, 0.0, 1.0, 1.0]))
+    out = transform(np.array([[0.5]]), fixed_heights([0.0, 0.0, 1.0, 1.0]))
     assert np.all(np.abs(out.data - 0.5) <= 1e-15)
 
 
 def test_curve_rejects_t_outside_unit_interval(fixed_heights):
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
-        transform_gray(np.array([[1.5]]), fixed_heights([0.1, 0.2, 0.3, 0.4]))
+        transform(np.array([[1.5]]), fixed_heights([0.1, 0.2, 0.3, 0.4]))
 
 
 @pytest.mark.parametrize("shape", [(4, 3), (12,), (3, 4, 1)])
 def test_curve_scalars_of_another_shape_rejected(shape):
     with pytest.raises(ValueError, match="expected curve scalars of shape \\(3, 4\\)"):
-        transform_gray(np.zeros((2, 2)), Tensor(np.zeros(shape)))
+        transform(np.zeros((2, 2)), Tensor(np.zeros(shape)))
     with pytest.raises(ValueError, match="expected curve scalars of shape \\(3, 4\\)"):
         heights(Tensor(np.zeros(shape)))
 
@@ -77,7 +77,7 @@ def test_identity_init_is_near_identity():
     values = heights_array(u) @ np.stack([(1 - t) ** 3, 3 * t * (1 - t) ** 2,
                                                 3 * t**2 * (1 - t), t**3])
     assert np.max(np.abs(values - t)) <= 5e-3
-    out = transform_gray(t.reshape(1, -1), u)
+    out = transform(t.reshape(1, -1), u)
     assert np.max(np.abs(out.data - t.reshape(1, 1, -1))) <= 1e-3 + 1e-12
 
 
@@ -90,7 +90,7 @@ def test_identity_init_has_twelve_identical_channel_scalars():
 
 def test_constant_image_maps_to_first_height():
     u = random_u(3)
-    out = transform_gray(np.zeros((5, 6)), u)
+    out = transform(np.zeros((5, 6)), u)
     heights = heights_array(u)
     for c in range(3):
         assert np.allclose(out.data[c], heights[c, 0], atol=1e-15)
@@ -101,7 +101,7 @@ def test_transform_gray_matches_scalar_oracle():
     x = rng.uniform(0.0, 1.0, (8, 8))
     u = random_u(12)
     heights = heights_array(u)
-    out = transform_gray(x, u).data
+    out = transform(x, u).data
     for c in range(3):
         for i in range(8):
             for j in range(8):
@@ -114,7 +114,7 @@ def test_transform_color_matches_scalar_oracle():
     x = rng.uniform(0.0, 1.0, (3, 4, 5))
     u = random_u(14)
     heights = heights_array(u)
-    out = transform_color(x, u).data
+    out = transform(x, u).data
     for c in range(3):
         for i in range(4):
             for j in range(5):
@@ -125,8 +125,8 @@ def test_color_of_replicated_gray_equals_gray_transform():
     rng = np.random.default_rng(15)
     x = rng.uniform(0.0, 1.0, (6, 7))
     u = random_u(16)
-    gray = transform_gray(x, u).data
-    color = transform_color(np.stack([x, x, x]), u).data
+    gray = transform(x, u).data
+    color = transform(np.stack([x, x, x]), u).data
     # the two paths reduce in different orders; agreement is to the last ulp
     assert np.allclose(gray, color, rtol=0, atol=1e-15)
 
@@ -134,7 +134,7 @@ def test_color_of_replicated_gray_equals_gray_transform():
 def test_degenerate_flat_curve_gives_constant_channel():
     u = np.zeros((3, 4))
     u[1] = 2.0  # channel 1 heights all sigmoid(2)
-    out = transform_gray(np.random.default_rng(0).uniform(0, 1, (4, 4)), Tensor(u)).data
+    out = transform(np.random.default_rng(0).uniform(0, 1, (4, 4)), Tensor(u)).data
     k = 1.0 / (1.0 + np.exp(-2.0))
     assert np.allclose(out[1], k, atol=1e-12)
 
@@ -142,7 +142,7 @@ def test_degenerate_flat_curve_gives_constant_channel():
 def test_identity_transform_color_close_to_input():
     rng = np.random.default_rng(17)
     x = rng.uniform(0.0, 1.0, (3, 5, 5))
-    out = transform_color(x, init_identity()).data
+    out = transform(x, init_identity()).data
     assert np.max(np.abs(out - x)) <= 1e-3 + 1e-12
 
 
@@ -151,13 +151,13 @@ def test_identity_transform_color_close_to_input():
 def test_range_preservation(seed):
     u = random_u(seed)
     t = np.linspace(0.0, 1.0, 101)
-    out = transform_gray(t.reshape(1, -1), u).data
+    out = transform(t.reshape(1, -1), u).data
     assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 def test_globality_equal_intensities_map_equally():
     x = np.array([[0.3, 0.7, 0.3], [0.7, 0.3, 0.7]])
-    out = transform_gray(x, random_u(19)).data
+    out = transform(x, random_u(19)).data
     for c in range(3):
         vals_a = out[c][x == 0.3]
         vals_b = out[c][x == 0.7]
@@ -168,7 +168,7 @@ def test_globality_equal_intensities_map_equally():
 def test_endpoint_anchoring_exact():
     u = random_u(21)
     heights = heights_array(u)
-    out = transform_gray(np.array([[0.0, 1.0]]), u).data
+    out = transform(np.array([[0.0, 1.0]]), u).data
     assert np.array_equal(out[:, 0, 0], heights[:, 0])
     assert np.array_equal(out[:, 0, 1], heights[:, 3])
 
@@ -179,24 +179,29 @@ def test_gradient_of_mean_transform_matches_finite_differences():
     u = random_u(24)
 
     def f():
-        return float(mean(transform_gray(x, u)).data)
+        return float(mean(transform(x, u)).data)
 
-    mean(transform_gray(x, u)).backward()
+    mean(transform(x, u)).backward()
     assert_grads_close(u.grad, numeric_grad(f, u), rtol=1e-5, atol=1e-9,
                        label="sbct-u")
 
 
 def test_transform_rejects_unnormalized_input():
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
-        transform_gray(np.array([[1.2]]), init_identity())
+        transform(np.array([[1.2]]), init_identity())
     with pytest.raises(ValueError, match="3xHxW"):
-        transform_color(np.zeros((2, 4, 4)), init_identity())
+        transform(np.zeros((2, 4, 4)), init_identity())
+    # one shape check serves both kinds of image, and names both
+    for shape in [(4,), (1, 3, 4, 4)]:
+        with pytest.raises(ValueError, match=r"\bHxW\b.*\b3xHxW\b") as excinfo:
+            transform(np.zeros(shape), init_identity())
+        assert str(shape) in str(excinfo.value)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_transform_gray_rejects_non_finite_input(bad):
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
-        transform_gray(np.array([[bad, 0.5]]), init_identity())
+        transform(np.array([[bad, 0.5]]), init_identity())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -204,7 +209,7 @@ def test_transform_color_rejects_non_finite_input(bad):
     x = np.full((3, 2, 2), 0.5)
     x[1, 0, 1] = bad
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
-        transform_color(x, init_identity())
+        transform(x, init_identity())
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1.0000001, -1e-300, -0.0, 0.0, 5e-324, 1.0],
