@@ -285,9 +285,10 @@ def adapt_stream(model: SegModel, samples, config: AdaptConfig, out_dir, dump_sb
 
 class LoadedStream(Sequence):
     """A manifest's samples in manifest order, each held as its image's 8-bit
-    payload, its mask and its box. Every read builds a fresh ``StreamSample``
-    whose arrays are bit for bit, and laid out as, ``synthdata.load_sample``'s,
-    so a caller that writes into a sample changes no later read."""
+    payload, its mask packed one bit a pixel and its box. Every read builds a
+    fresh ``StreamSample`` whose arrays are bit for bit, and laid out as,
+    ``synthdata.load_sample``'s, so a caller that writes into a sample
+    changes no later read."""
 
     def __init__(self, items: list):
         self._items = items
@@ -296,8 +297,11 @@ class LoadedStream(Sequence):
         return len(self._items)
 
     def __getitem__(self, i: int) -> synthdata.StreamSample:
-        payload, mask, box = self._items[i]
-        return synthdata.StreamSample(netpbm.decode(payload), mask.copy(), box)
+        payload, bits, box = self._items[i]
+        image = netpbm.decode(payload)
+        h, w = image.shape[-2:]
+        mask = np.unpackbits(bits, count=h * w).view(bool).reshape(h, w)
+        return synthdata.StreamSample(image, mask, box)
 
 
 def load_stream(manifest_path) -> LoadedStream:
@@ -311,7 +315,7 @@ def load_stream(manifest_path) -> LoadedStream:
         except (OSError, ValueError) as exc:
             raise RuntimeError(f"stream sample {i} unreadable ({img}): {exc}") from exc
         # the file's own payload: encode inverts read_pnm's decode exactly
-        items.append((netpbm.encode(sample.image), sample.gt_mask, sample.box))
+        items.append((netpbm.encode(sample.image), np.packbits(sample.gt_mask), sample.box))
     return LoadedStream(items)
 
 

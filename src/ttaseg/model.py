@@ -18,7 +18,8 @@ from math import isqrt
 import numpy as np
 
 from .synthdata import BoxPrompt
-from .tensor import Tensor, as_tensor, attention, concat, gelu_parts, gelu_slope, layer_norm, linear
+from .tensor import (Tensor, as_tensor, attention, concat, gelu_from_tanh, gelu_slope, gelu_tanh, layer_norm, linear,
+                     records)
 
 PROMPT_FREQS = 8
 _LORA_BITS = {"q": 1, "k": 2, "v": 4, "o": 8}
@@ -214,33 +215,38 @@ class SegModel:
         outputs, one weight pair per block position, giving (2hh, 2ww, dout).
 
         The four projections stay four matmuls; stacking their weights into
-        one matmul would change the bits. The backward replays the composed
-        graph: each position's chain in reverse creation order (11, 10, 01,
-        00), so the input's gradient sums the positions in that order.
+        one matmul would change the bits. The GELU runs in place over the
+        position-major pre-activations, which are then copied once into the
+        output; a taped node keeps only the GELU slope for its backward. The
+        backward replays the composed graph: each position's chain in reverse
+        creation order (11, 10, 01, 00), so the input's gradient sums the
+        positions in that order.
         """
         hh, ww, din = f.shape
         flat = f.data.reshape(hh * ww, din)
         layers = [(self.params[f"{prefix}.{pos}.w"], self.params[f"{prefix}.{pos}.b"]) for pos in _UP_POS]
+        parents = (f,) + tuple(p for layer in layers for p in layer)
         dout = layers[0][1].shape[0]
         pre = np.empty((4, hh * ww, dout))
         for i, (w, b) in enumerate(layers):
             np.matmul(flat, w.data.transpose(), out=pre[i])
             pre[i] += b.data
+        pre_ab = pre.reshape(2, 2, hh, ww, dout)
+        t = gelu_tanh(pre_ab)
+        slope = gelu_slope(pre_ab, t) if records(parents) else None
+        gelu_from_tanh(pre_ab, t, out=pre_ab)
+        del t  # freed before the output is allocated, to lower the peak
         out = np.empty((2 * hh, 2 * ww, dout))
         # position (a, b) of every 2x2 block, as a view of the output
-        blocks = out.reshape(hh, 2, ww, 2, dout).transpose(1, 3, 0, 2, 4)
-        pre_ab = pre.reshape(2, 2, hh, ww, dout)
-        _, t = gelu_parts(pre_ab, out=blocks)
+        out.reshape(hh, 2, ww, 2, dout).transpose(1, 3, 0, 2, 4)[...] = pre_ab
 
         def bw(g):
-            slope = gelu_slope(pre_ab, t)
-            per_pos = g.reshape(hh, 2, ww, 2, dout).transpose(1, 3, 0, 2, 4)
+            # written over the slope, which nothing reads again
+            gpre_ab = np.multiply(g.reshape(hh, 2, ww, 2, dout).transpose(1, 3, 0, 2, 4), slope, out=slope)
             gflat = None
             for i in reversed(range(4)):
                 w, b = layers[i]
-                # written over the slope of position i, which nothing reads again
-                at = slope[i // 2, i % 2]
-                gpre = np.multiply(per_pos[i // 2, i % 2], at, out=at).reshape(hh * ww, dout)
+                gpre = gpre_ab[i // 2, i % 2].reshape(hh * ww, dout)
                 if b.requires_grad:
                     b._accum_owned(gpre.sum(axis=0))
                 if f.requires_grad:
@@ -254,7 +260,6 @@ class SegModel:
             if f.requires_grad:
                 f._accum_owned(gflat.reshape(hh, ww, din))
 
-        parents = (f,) + tuple(p for layer in layers for p in layer)
         return Tensor._node(out, parents, bw, "upstage")
 
     # -- public forward ----------------------------------------------------

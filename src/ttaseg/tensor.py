@@ -37,6 +37,12 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def records(parents: tuple) -> bool:
+    """Whether a node made now from ``parents`` goes on the tape: the calling
+    thread records and some parent requires a gradient."""
+    return _grad_mode.enabled and any(p.requires_grad for p in parents)
+
+
 class DomainError(ValueError):
     """An operation was evaluated outside its mathematical domain."""
 
@@ -68,19 +74,25 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 
 
-def gelu_parts(x: np.ndarray, out=None):
-    """tanh-form GELU of ``x`` and the tanh term its slope reuses, as
-    ``t = tanh(C * (x + 0.044715 * x * x * x))`` and ``0.5 * x * (1 + t)``;
-    the GELU is written into ``out`` when given."""
+def gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """The tanh term that the GELU and its slope share, laid out like ``x``:
+    ``t = tanh(C * (x + 0.044715 * x * x * x))``."""
     t = np.multiply(0.044715, x, out=np.empty_like(x))
     t *= x
     t *= x
     np.add(x, t, out=t)
     np.multiply(_GELU_C, t, out=t)
-    np.tanh(t, out=t)
-    out = np.multiply(0.5, x, out=np.empty_like(x) if out is None else out)
-    out *= np.add(1.0, t)
-    return out, t
+    return np.tanh(t, out=t)
+
+
+def gelu_from_tanh(x: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The tanh-form GELU ``0.5 * x * (1 + t)`` written into ``out``, which
+    may be ``x`` itself; ``1 + t`` is written over ``t``, so the slope must
+    be taken first."""
+    np.add(1.0, t, out=t)
+    np.multiply(0.5, x, out=out)
+    out *= t
+    return out
 
 
 def gelu_slope(x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -136,7 +148,7 @@ class Tensor:
     def _node(cls, data: np.ndarray, parents: tuple, backward, op: str) -> "Tensor":
         t = cls.__new__(cls)
         t.data = data if isinstance(data, np.ndarray) and data.dtype == np.float64 else np.asarray(data, dtype=np.float64)
-        t.requires_grad = _grad_mode.enabled and any(p.requires_grad for p in parents)
+        t.requires_grad = records(parents)
         t.grad = None
         if t.requires_grad:
             t._parents = parents
@@ -282,10 +294,12 @@ class Tensor:
     def gelu(self):
         """tanh-form GELU as one node; smooth everywhere."""
         a = self
-        out, t = gelu_parts(a.data)
+        t = gelu_tanh(a.data)
+        # the backward reads the slope alone, so a taped node keeps only it
+        slope = gelu_slope(a.data, t) if records((a,)) else None
+        out = gelu_from_tanh(a.data, t, np.empty_like(a.data))
 
         def bw(g):
-            slope = gelu_slope(a.data, t)
             a._accum_owned(np.multiply(g, slope, out=slope))
 
         return Tensor._node(out, (a,), bw, "gelu")

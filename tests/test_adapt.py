@@ -565,7 +565,8 @@ def _assert_reads_as_load_sample(stream, manifest):
 def test_loaded_stream_reads_as_load_sample(tmp_path, profile):
     """Each read is load_sample's sample: bytes, dtype, shape and strides of
     the image (P6's a transposed view) and the mask, and the box; a header
-    with a comment, and an empty mask, read back too."""
+    with a comment, and an empty mask, read back too. So does a 5x7 sample,
+    whose 35 mask bits leave the last of their bytes part empty."""
     manifest = synthdata.write_dataset(target_stream(5, profile=profile), tmp_path)
     ext = "pgm" if profile == "mri-like" else "ppm"
     blob = (tmp_path / f"img_00002.{ext}").read_bytes()
@@ -574,6 +575,12 @@ def test_loaded_stream_reads_as_load_sample(tmp_path, profile):
     stream = load_stream(manifest)
     assert stream[3].box is None
     _assert_reads_as_load_sample(stream, manifest)
+    rng = np.random.default_rng(4)
+    mask = rng.uniform(size=(5, 7)) < 0.5
+    mask[-1, -1] = True
+    image = rng.uniform(size=(5, 7) if profile == "mri-like" else (3, 5, 7))
+    small = synthdata.write_dataset([StreamSample(image, mask, synthdata.oracle_box(mask))], tmp_path / "5x7")
+    _assert_reads_as_load_sample(load_stream(small), small)
 
 
 def test_loaded_stream_reiterates_and_indexes(tmp_path):
@@ -628,8 +635,9 @@ def test_threads_reading_one_loaded_stream_each_read_every_sample(tmp_path):
 
 
 def test_a_loaded_gray_stream_holds_its_payloads_not_its_images(tmp_path):
-    """200 gray 64x64 images are 6.25 MiB as float64 and 0.78 MiB as bytes;
-    with their masks the stream holds less than 2.5 MiB."""
+    """200 gray 64x64 images are 6.25 MiB as float64 and 0.78 MiB as bytes,
+    and their masks 0.78 MiB as bools and 0.1 MiB as bits; the stream holds
+    less than 1.25 MiB."""
     manifest = synthdata.write_dataset(map(synthdata.paint, synthdata.scenes(9, 200, "mri-like")), tmp_path)
     tracemalloc.start()
     try:
@@ -638,7 +646,7 @@ def test_a_loaded_gray_stream_holds_its_payloads_not_its_images(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(stream) == 200
-    assert held < 2.5 * 2**20
+    assert held < 1.25 * 2**20
 
 
 # -- streaming and state ------------------------------------------------------------
@@ -868,7 +876,7 @@ def _run_checking_contracts(base, stream, config) -> list:
 
 
 @pytest.mark.parametrize("reset", [False, True], ids=["carry", "reset"])
-@pytest.mark.parametrize("steps", [1, 2], ids=["K1", "K2"])
+@pytest.mark.parametrize("steps", [1, 2, 3], ids=["K1", "K2", "K3"])
 @pytest.mark.parametrize("strategy", ["none", "tent", "mean-teacher", "sam-tta", "sbct-only"])
 @given(stream=st.lists(_adversarial_samples(), min_size=1, max_size=4),
        iou_bias=st.sampled_from([None, -30.0, 30.0]))

@@ -194,6 +194,28 @@ def test_no_grad_forward_builds_no_graph(model64):
     assert not out.m_high.requires_grad
 
 
+def test_a_forward_holds_only_what_its_backward_reads(model64):
+    """A taped default-config forward, every weight trainable, holds less
+    than 2,400 KiB once it returns: each upstage node keeps one slope array
+    for its backward, not its pre-activations and tanh term. A no-grad
+    forward, which keeps no slope, peaks under 1 MiB."""
+    model64.set_trainable(lambda n: True)
+    image, box = _image(model64.config), _box(model64.config)
+    tracemalloc.start()
+    try:
+        out = model64.forward(image, box)
+        held = tracemalloc.get_traced_memory()[0]
+        del out
+        tracemalloc.reset_peak()
+        with no_grad():
+            model64.forward(image, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held < 2400 * 2**10
+    assert peak < 2**20
+
+
 # -- checkpoint io -------------------------------------------------------------
 
 

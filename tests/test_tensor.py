@@ -21,8 +21,8 @@ from ttaseg import adapt, losses, synthdata, tensor
 from ttaseg.model import ModelConfig, SegModel
 from ttaseg.pretrain import sample_loss
 from ttaseg.tensor import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, DomainError, ParamGroup, Tensor, _stable_sigmoid,
-                           adam_step, as_tensor, attention, concat, gelu_parts, gelu_slope, layer_norm, linear,
-                           log_softmax, no_grad)
+                           adam_step, as_tensor, attention, concat, gelu_from_tanh, gelu_slope, gelu_tanh, layer_norm,
+                           linear, log_softmax, no_grad)
 
 
 def test_sigmoid_at_zero():
@@ -352,10 +352,14 @@ def test_stable_sigmoid_is_bitwise_its_reference(x, transposed):
 def test_gelu_kernels_are_bitwise_their_references(x, transposed):
     x = x.T if transposed else x
     with np.errstate(all="ignore"):
-        (out, t), (out_ref, t_ref) = gelu_parts(x), gelu_parts_ref(x)
-        _same_array(out, out_ref)
+        t, (out_ref, t_ref) = gelu_tanh(x), gelu_parts_ref(x)
         _same_array(t, t_ref)
         _same_array(gelu_slope(x, t), gelu_slope_ref(x, t_ref))
+        _same_array(gelu_from_tanh(x, t, np.empty_like(x)), out_ref)
+        # in place over its input, as the upstage node runs it
+        y = np.empty_like(x)
+        y[...] = x
+        _same_array(gelu_from_tanh(y, gelu_tanh(x), out=y), out_ref)
 
 
 # -- fused nodes -------------------------------------------------------------
@@ -516,17 +520,33 @@ def test_attention_gradients_match_finite_differences():
 
 
 def _upstage_case(model, train_input, train_weights):
+    """The first upstage node at its input in the decoder, (grid, grid, embed_dim)."""
     prefix = "dec.up0"
     model.set_trainable(lambda name: train_weights and name.startswith(prefix + "."))
-    f = Tensor(np.random.default_rng(17).normal(size=(2, 2, model.config.embed_dim)), requires_grad=train_input)
+    g = model.config.grid
+    f = Tensor(np.random.default_rng(17).normal(size=(g, g, model.config.embed_dim)), requires_grad=train_input)
     weights = [model.params[f"{prefix}.{pos}.{kind}"] for pos in ("00", "01", "10", "11") for kind in "wb"]
     return [f] + weights, (lambda: model._upstage(f, prefix)), (lambda: _composed_upstage(model, f, prefix))
 
 
-@pytest.mark.parametrize("train_input, train_weights", [(True, True), (True, False), (False, True)],
-                         ids=["all", "input-only", "weights-only"])
-def test_upstage_is_bitwise_the_composed_graph(model16, train_input, train_weights):
-    leaves, fused, composed = _upstage_case(model16, train_input, train_weights)
+def _under_no_grad(build):
+    def untaped():
+        with no_grad():
+            return build()
+
+    return untaped
+
+
+@pytest.mark.parametrize("model, train_input, train_weights, taped", [
+    ("model16", True, True, True), ("model16", True, False, True), ("model16", False, True, True),
+    ("model16", False, False, True), ("model16", True, True, False), ("model64", True, True, True)],
+    ids=["all", "input-only", "weights-only", "nothing-trainable", "no-grad", "default-config"])
+def test_upstage_is_bitwise_the_composed_graph(request, model, train_input, train_weights, taped):
+    """Taped or not: an untaped node keeps no slope, and its output must not
+    change with that. The default config runs the decoder's real 8x8x32 input."""
+    leaves, fused, composed = _upstage_case(request.getfixturevalue(model), train_input, train_weights)
+    if not taped:
+        fused, composed = _under_no_grad(fused), _under_no_grad(composed)
     _assert_bitwise_equal(fused, composed, leaves)
 
 
